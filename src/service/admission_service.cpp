@@ -30,6 +30,11 @@ ShardAlgorithmFactory randomized_shard_factory(bool unit_costs,
 
 namespace {
 
+ArrivalResult decide(OnlineAdmissionAlgorithm& algorithm,
+                     const Request& request, bool shed) {
+  return shed ? algorithm.process_shed(request) : algorithm.process(request);
+}
+
 std::size_t pump_workers(const ServiceConfig& config) {
   const std::size_t hw = hardware_concurrency();
   const std::size_t want =
@@ -99,38 +104,21 @@ AdmissionService::AdmissionService(const Graph& graph,
     MINREJ_REQUIRE(&lca_algorithm_->graph() == &graph_,
                    "LCA lane algorithm must be built on the service graph");
   }
-  if (config_.pump == PumpMode::kRings) {
-    const std::size_t capacity =
-        config_.ring_capacity > 0 ? config_.ring_capacity
-                                  : std::max<std::size_t>(1024, config_.batch);
-    lanes_.reserve(config_.shards);
-    for (std::size_t s = 0; s < config_.shards; ++s) {
-      lanes_.push_back(std::make_unique<Lane>(capacity));
-    }
-    start_workers();
-  } else {
-    pool_ = std::make_unique<ThreadPool>(pump_workers(config_));
+  // The ring rounds its capacity up to a power of two.  A full ring only
+  // makes the router spin-yield, so the size is a throughput detail.
+  const std::size_t capacity = std::max<std::size_t>(1024, config_.batch);
+  lanes_.reserve(config_.shards);
+  for (std::size_t s = 0; s < config_.shards; ++s) {
+    lanes_.push_back(std::make_unique<Lane>(capacity));
   }
-}
-
-AdmissionService::~AdmissionService() { stop_workers(); }
-
-std::size_t AdmissionService::worker_count() const noexcept {
-  return config_.pump == PumpMode::kRings
-             ? ring_workers_.size()
-             : (pool_ ? pool_->thread_count() : 0);
-}
-
-void AdmissionService::start_workers() {
   const std::size_t workers = pump_workers(config_);
-  ring_workers_.reserve(workers);
+  workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    ring_workers_.emplace_back([this, w, workers] { worker_loop(w, workers); });
+    workers_.emplace_back([this, w, workers] { worker_loop(w, workers); });
   }
 }
 
-void AdmissionService::stop_workers() {
-  if (ring_workers_.empty()) return;
+AdmissionService::~AdmissionService() {
   {
     std::lock_guard<std::mutex> lock(pump_mu_);
     stop_workers_ = true;
@@ -139,10 +127,7 @@ void AdmissionService::stop_workers() {
   cv_wake_.notify_all();
   // Legal only between batches (rings drained, job slots empty), so
   // joining here never abandons work.
-  for (std::thread& t : ring_workers_) {
-    if (t.joinable()) t.join();
-  }
-  ring_workers_.clear();
+  for (std::thread& t : workers_) t.join();
 }
 
 void AdmissionService::kick_workers() {
@@ -178,7 +163,9 @@ void AdmissionService::worker_loop(std::size_t worker,
   // path; kick_workers cuts the common-case latency).
   constexpr int kIdleGracePolls = 256;
   std::uint64_t seen_epoch = 0;
-  int idle_polls = 0;
+  // Start asleep: until the first batch kicks, a fresh worker has nothing
+  // to poll for and would only compete with the thread constructing it.
+  int idle_polls = kIdleGracePolls;
   for (;;) {
     bool did_work = false;
     for (std::size_t s = worker; s < shards_.size(); s += worker_total) {
@@ -190,7 +177,8 @@ void AdmissionService::worker_loop(std::size_t worker,
       cv_done_.notify_all();
       continue;
     }
-    if (++idle_polls < kIdleGracePolls) {
+    if (idle_polls < kIdleGracePolls) {
+      ++idle_polls;
       std::this_thread::yield();
       continue;
     }
@@ -199,8 +187,11 @@ void AdmissionService::worker_loop(std::size_t worker,
     cv_wake_.wait_for(lock, std::chrono::microseconds(500), [&] {
       return stop_workers_ || wake_epoch_ != seen_epoch;
     });
-    seen_epoch = wake_epoch_;
     if (stop_workers_) return;
+    // A timeout without a kick polls the lanes once and sleeps again: an
+    // idle service must not spin through the grace window every 500 µs.
+    if (wake_epoch_ == seen_epoch) continue;
+    seen_epoch = wake_epoch_;
     lock.unlock();
     idle_polls = 0;
   }
@@ -213,27 +204,16 @@ bool AdmissionService::drain_lane(std::size_t s) {
   // The successful pop's acquire pairs with the routing thread's release
   // push: live_batch_ and the pre-batch shard state are visible from here.
   Shard& shard = shards_[s];
-  const std::span<const Request> batch = live_batch_;
   constexpr std::size_t kChunk = 256;
   std::size_t consumed = 0;
-  Timer busy;
-  Timer arrival_timer;
+  const Timer busy;
   do {
     ++consumed;
-    if (shard.error) continue;  // poisoned: discard the rest, but count it
-    try {
-      if (config_.collect_latencies) arrival_timer.reset();
-      const ArrivalResult result = shard.algorithm->process(batch[idx]);
-      if (config_.collect_latencies) {
-        shard.latencies_s.push_back(arrival_timer.elapsed_s());
-      }
-      decisions_[idx] = result.accepted ? 1 : 0;
-      ++shard.arrivals;
-    } catch (...) {
-      shard.error = std::current_exception();
-    }
+    process_arrival(s, idx, 0, busy);
   } while (consumed < kChunk && lane.ring.try_pop(idx));
-  shard.busy_seconds += busy.elapsed_s();
+  const double elapsed = busy.elapsed_s();
+  shard.busy_seconds += elapsed;
+  shard.batch_busy_s += elapsed;
   // One release per chunk, not per arrival: publishes every shard write
   // above to the routing thread's acquire load in the completion wait.
   lane.consumed.fetch_add(consumed, std::memory_order_release);
@@ -245,24 +225,116 @@ bool AdmissionService::run_lane_job(std::size_t s) {
   const auto kind =
       static_cast<JobKind>(lane.job.load(std::memory_order_acquire));
   if (kind == JobKind::kNone) return false;
-  switch (kind) {
-    case JobKind::kFtAttempt:
-      run_shard_task_ft(s, live_batch_, lane.job_base, lane.job_attempt,
-                        lane.job_injector);
-      break;
-    case JobKind::kRebuild:
-      try {
-        rebuild_shard(s);
-      } catch (...) {
-        shards_[s].error = std::current_exception();
-      }
-      break;
-    case JobKind::kNone:
-      break;
+  Shard& shard = shards_[s];
+  if (kind == JobKind::kRetry) {
+    const Timer busy;
+    for (const std::size_t idx : lane.pending) {
+      process_arrival(s, idx, lane.job_attempt, busy);
+    }
+    shard.busy_seconds += busy.elapsed_s();
+  } else {
+    try {
+      rebuild_shard(s);
+    } catch (...) {
+      shard.error = std::current_exception();
+    }
   }
   lane.job.store(static_cast<std::uint8_t>(JobKind::kNone),
                  std::memory_order_release);
   return true;
+}
+
+void AdmissionService::process_arrival(std::size_t s, std::size_t idx,
+                                       std::size_t attempt,
+                                       const Timer& busy) {
+  Shard& shard = shards_[s];
+  if (shard.error) return;  // poisoned: discard the rest of the batch
+  const Request& request = live_batch_[idx];
+  const FaultToleranceConfig& ft = config_.fault_tolerance;
+  try {
+    bool shed = false;
+    if (ft.enabled) {
+      if (ft.injector) {
+        // Probe on the service-global arrival index: it advances even when
+        // the shard sheds, so a healed shard is not doomed to replay the
+        // exact probe pattern that quarantined it.
+        const std::size_t global_arrival = live_base_ + idx;
+        switch (ft.injector->probe(s, global_arrival, attempt)) {
+          case FaultAction::kException:
+            throw InjectedFault("injected shard-task fault (shard " +
+                                std::to_string(s) + ", arrival " +
+                                std::to_string(global_arrival) +
+                                ", attempt " + std::to_string(attempt) + ")");
+          case FaultAction::kDelay:
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(ft.injector->delay_seconds()));
+            ++shard.injected_delays;
+            break;
+          case FaultAction::kNone:
+            break;
+        }
+      }
+      // Deadline shedding is per batch attempt: a slow sub-batch degrades
+      // its own tail, the next batch starts fresh.  The budget latch is
+      // per shard and permanent until a rebuild re-derives it.
+      const double deadline = ft.overload.shard_deadline_s;
+      if (deadline > 0.0 && !shard.deadline_shed &&
+          shard.batch_busy_s + busy.elapsed_s() > deadline) {
+        shard.deadline_shed = true;
+      }
+      shed = shard.degraded || shard.deadline_shed;
+    }
+    ArrivalResult result;
+    if (config_.collect_latencies) {
+      const Timer arrival_timer;
+      result = decide(*shard.algorithm, request, shed);
+      shard.latencies_s.push_back(arrival_timer.elapsed_s());
+    } else {
+      result = decide(*shard.algorithm, request, shed);
+    }
+    decisions_[idx] = result.accepted ? 1 : 0;
+    if (ft.enabled) {
+      const auto mode = static_cast<std::uint8_t>(
+          shed ? DecisionMode::kShed : DecisionMode::kEngine);
+      modes_[live_base_ + idx] = mode;
+      shard.log.push_back(LogEntry{request, mode});
+      if (ft.overload.shed_on_budget && !shard.degraded) {
+        const std::uint64_t budget = augmentation_step_budget(
+            shard.algorithm->arrivals(), graph_.edge_count(),
+            graph_.max_capacity());
+        if (shard.algorithm->augmentation_steps() > budget) {
+          shard.degraded = true;
+        }
+      }
+    }
+    // Last: the arrival count is what a failed attempt rolls back by.
+    ++shard.arrivals;
+  } catch (...) {
+    shard.error = std::current_exception();
+  }
+}
+
+void AdmissionService::run_jobs(const std::vector<std::size_t>& shards,
+                                JobKind kind, std::size_t attempt) {
+  if (shards.empty()) return;
+  // The release store into the job slot publishes live_batch_ and the job
+  // parameters; the worker's acquire pairs with it, and its kNone release
+  // store publishes the job's results back to this thread's acquire.
+  for (const std::size_t s : shards) {
+    Lane& lane = *lanes_[s];
+    lane.job_attempt = attempt;
+    lane.job.store(static_cast<std::uint8_t>(kind), std::memory_order_release);
+  }
+  kick_workers();
+  wait_for_workers([&] {
+    for (const std::size_t s : shards) {
+      if (lanes_[s]->job.load(std::memory_order_acquire) !=
+          static_cast<std::uint8_t>(JobKind::kNone)) {
+        return false;
+      }
+    }
+    return true;
+  });
 }
 
 std::size_t AdmissionService::hash_edge_to_shard(
@@ -291,86 +363,133 @@ std::size_t AdmissionService::shard_of_request(const Request& request) const {
 
 std::vector<bool> AdmissionService::submit_batch(
     std::span<const Request> batch) {
-  // One branch each is the whole cost of the fault-tolerance layer and the
-  // rings pump when they are off: the code below is the pre-existing fast
-  // path, untouched.
-  if (config_.fault_tolerance.enabled) return submit_batch_ft(batch);
-  if (config_.pump == PumpMode::kRings) return submit_batch_rings(batch);
   Timer wall;
-  for (Shard& shard : shards_) shard.pending.clear();
-  lca_pending_.clear();
+  const FaultToleranceConfig& ft = config_.fault_tolerance;
+  if (!ft.enabled) {
+    // Routing is all-or-nothing: a request the router cannot place rejects
+    // the batch before any placement is appended or any index pushed.
+    // (Under fault tolerance such requests are recorded as kMalformed.)
+    for (const Request& request : batch) {
+      MINREJ_REQUIRE(request_routable(request),
+                     "request has no edges or an out-of-range edge");
+    }
+  }
   const std::size_t base = placement_.size();
-  placement_.reserve(base + batch.size());
+  // Between batches the workers are quiescent (the previous completion
+  // wait saw every pushed index consumed), so these reads are stable.
+  // next_local starts from each algorithm's arrival count *now*, because
+  // the owning worker advances the live count while later arrivals of
+  // this batch are still being routed.
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
+    Lane& lane = *lanes_[s];
+    lane.pending.clear();
+    lane.next_local = static_cast<RequestId>(shard.algorithm->arrivals());
+    shard.batch_arrivals = shard.arrivals;
+    shard.batch_busy_s = 0.0;
+    shard.deadline_shed = false;
+  }
+  lca_pending_.clear();
+  decisions_.assign(batch.size(), 0);
+  if (ft.enabled) {
+    modes_.resize(base + batch.size(),
+                  static_cast<std::uint8_t>(DecisionMode::kEngine));
+  }
+  const auto drop = [&](std::size_t i, std::size_t s, DecisionMode mode) {
+    placement_.emplace_back(static_cast<std::uint32_t>(s), kInvalidId);
+    modes_[base + i] = static_cast<std::uint8_t>(mode);
+  };
 
-  // Route on the caller's thread: placement (shard + shard-local id) is
-  // fully determined before any worker runs, so it never races and the
-  // shard-local id sequence is arrival-ordered by construction.
+  // Publish the batch, then stream indices into the shard rings as they
+  // are routed: the ring push's release store is what makes live_batch_
+  // (and decisions_, modes_) visible to the consuming worker, and workers
+  // overlap with the rest of the routing loop.
+  live_batch_ = batch;
+  live_base_ = base;
+  kick_workers();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (lca_algorithm_ && request_crosses_shards(batch[i])) {
+    const Request& request = batch[i];
+    if (ft.enabled && ((ft.injector && ft.injector->corrupt(base + i)) ||
+                       !request_well_formed(request))) {
+      // Attribute to the shard the first edge routes to when it is
+      // routable at all; shard 0 is the catch-all for unroutable garbage.
+      const std::size_t s =
+          (!request.edges.empty() && request.edges.front() < graph_.edge_count())
+              ? shard_of_edge(request.edges.front())
+              : 0;
+      ++shards_[s].malformed;
+      drop(i, s, DecisionMode::kMalformed);
+      continue;
+    }
+    if (lca_algorithm_ && request_crosses_shards(request)) {
       // Cross-shard arrival: diverted to the reconcile lane; its placement
       // is filled in by reconcile_lca_pending after the shard work drains.
       lca_pending_.push_back(i);
       placement_.emplace_back(kLcaShardMarker, kInvalidId);
       continue;
     }
-    const std::size_t s = shard_of_request(batch[i]);
-    const auto local = static_cast<RequestId>(shards_[s].algorithm->arrivals() +
-                                              shards_[s].pending.size());
-    shards_[s].pending.push_back(i);
-    placement_.emplace_back(static_cast<std::uint32_t>(s), local);
-  }
-
-  decisions_.assign(batch.size(), 0);
-  // Per-shard arrival counts before the pump: on a shard failure these
-  // locate the first unprocessed arrival so its placement can be voided.
-  std::vector<std::size_t> processed_before(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    processed_before[s] = shards_[s].arrivals;
-  }
-  std::size_t busy_shards = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].pending.empty()) continue;
-    ++busy_shards;
-    pool_->submit([this, s, batch] {
+    const std::size_t s = shard_of_request(request);
+    Lane& lane = *lanes_[s];
+    if (ft.enabled) {
+      // Quarantined shards refuse traffic; a full per-batch queue sheds
+      // the overflow (backpressure).  Neither reaches an algorithm.
       Shard& shard = shards_[s];
-      try {
-        Timer busy;
-        Timer arrival_timer;
-        for (const std::size_t idx : shard.pending) {
-          if (config_.collect_latencies) arrival_timer.reset();
-          const ArrivalResult result = shard.algorithm->process(batch[idx]);
-          if (config_.collect_latencies) {
-            shard.latencies_s.push_back(arrival_timer.elapsed_s());
-          }
-          decisions_[idx] = result.accepted ? 1 : 0;
-          ++shard.arrivals;
-        }
-        shard.busy_seconds += busy.elapsed_s();
-      } catch (...) {
-        shard.error = std::current_exception();
+      const std::size_t cap = ft.overload.max_shard_queue;
+      if (shard.quarantined || (cap > 0 && lane.pending.size() >= cap)) {
+        ++shard.shed;
+        drop(i, s, shard.quarantined ? DecisionMode::kQuarantineShed
+                                     : DecisionMode::kShed);
+        continue;
       }
-    });
+    }
+    placement_.emplace_back(static_cast<std::uint32_t>(s), lane.next_local++);
+    lane.pending.push_back(i);
+    std::size_t spins = 0;
+    while (!lane.ring.try_push(static_cast<std::uint32_t>(i))) {
+      // Ring full: the owning worker is behind.  Yield to it; kick
+      // periodically in case it reached its idle sleep before our first
+      // kick landed.
+      if ((++spins & 0x3FFu) == 0) kick_workers();
+      std::this_thread::yield();
+    }
+    ++lane.pushed;
   }
-  if (busy_shards > 0) pool_->wait_idle();
+  kick_workers();
+  wait_for_workers([&] {
+    for (const auto& lane : lanes_) {
+      if (lane->consumed.load(std::memory_order_acquire) < lane->pushed) {
+        return false;
+      }
+    }
+    return true;
+  });
   if (!lca_pending_.empty()) reconcile_lca_pending(batch, base);
-  pumped_seconds_ += wall.elapsed_s();
 
+  // A failed shard stopped mid-sub-batch.  Under fault tolerance it is
+  // rolled back and retried or quarantined.  Without it, its algorithm
+  // never assigned ids to the remaining arrivals: void their placements
+  // so a later batch cannot alias those local ids onto the stale entries
+  // (is_accepted on a voided arrival throws instead of answering for the
+  // wrong request), then rethrow the first error.
+  std::vector<std::size_t> failed;
   std::exception_ptr first_error;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     if (!shard.error) continue;
+    if (ft.enabled) {
+      failed.push_back(s);
+      continue;
+    }
     if (!first_error) first_error = shard.error;
     shard.error = nullptr;
-    // The shard stopped mid-sub-batch: its algorithm never assigned ids
-    // to the remaining arrivals.  Void their placements so a later batch
-    // cannot alias those local ids onto the stale entries (is_accepted on
-    // a voided arrival throws instead of answering for the wrong
-    // request).
-    const std::size_t processed = shard.arrivals - processed_before[s];
-    for (std::size_t j = processed; j < shard.pending.size(); ++j) {
-      placement_[base + shard.pending[j]].second = kInvalidId;
+    const std::vector<std::size_t>& pending = lanes_[s]->pending;
+    const std::size_t processed = shard.arrivals - shard.batch_arrivals;
+    for (std::size_t j = processed; j < pending.size(); ++j) {
+      placement_[base + pending[j]].second = kInvalidId;
     }
   }
+  if (!failed.empty()) recover_failed_shards(std::move(failed), base);
+  pumped_seconds_ += wall.elapsed_s();
   if (first_error) std::rethrow_exception(first_error);
   std::vector<bool> accepted(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -379,90 +498,80 @@ std::vector<bool> AdmissionService::submit_batch(
   return accepted;
 }
 
-std::vector<bool> AdmissionService::submit_batch_rings(
-    std::span<const Request> batch) {
-  Timer wall;
-  for (Shard& shard : shards_) shard.pending.clear();
-  lca_pending_.clear();
-  const std::size_t base = placement_.size();
-  placement_.reserve(base + batch.size());
-  decisions_.assign(batch.size(), 0);
-
-  // Between batches the workers are quiescent (the previous completion
-  // wait saw every pushed index consumed), so these reads are stable.
-  // local_base snapshots each algorithm's arrival count *now*, because by
-  // the time a later arrival of this batch is routed the owning worker may
-  // already be advancing it — the count at batch start plus the number of
-  // already-routed arrivals reproduces the sequential pump's ids exactly.
-  std::vector<std::size_t> processed_before(shards_.size());
-  std::vector<std::size_t> local_base(shards_.size());
-  std::vector<std::uint64_t> target(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    processed_before[s] = shards_[s].arrivals;
-    local_base[s] = shards_[s].algorithm->arrivals();
-    target[s] = lanes_[s]->consumed.load(std::memory_order_relaxed);
-  }
-
-  // Publish the batch, then stream indices into the shard rings as they
-  // are routed: the ring push's release store is what makes live_batch_
-  // (and decisions_) visible to the consuming worker, and workers overlap
-  // with the rest of the routing loop.
-  live_batch_ = batch;
-  kick_workers();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (lca_algorithm_ && request_crosses_shards(batch[i])) {
-      lca_pending_.push_back(i);
-      placement_.emplace_back(kLcaShardMarker, kInvalidId);
-      continue;
-    }
-    const std::size_t s = shard_of_request(batch[i]);
-    Shard& shard = shards_[s];
-    const auto local =
-        static_cast<RequestId>(local_base[s] + shard.pending.size());
-    shard.pending.push_back(i);
-    placement_.emplace_back(static_cast<std::uint32_t>(s), local);
-    std::size_t spins = 0;
-    while (!lanes_[s]->ring.try_push(static_cast<std::uint32_t>(i))) {
-      // Ring full: the owning worker is behind.  Yield to it; kick
-      // periodically in case it reached its idle sleep before our first
-      // kick landed.
-      if ((++spins & 0x3FFu) == 0) kick_workers();
-      std::this_thread::yield();
-    }
-  }
-  kick_workers();
-  wait_for_workers([&] {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (shards_[s].pending.empty()) continue;
-      if (lanes_[s]->consumed.load(std::memory_order_acquire) <
-          target[s] + shards_[s].pending.size()) {
-        return false;
+void AdmissionService::recover_failed_shards(std::vector<std::size_t> failed,
+                                             std::size_t base) {
+  const RetryPolicy& retry = config_.fault_tolerance.retry;
+  std::uint64_t jitter_state =
+      retry.jitter_seed ^ (static_cast<std::uint64_t>(base) + 1);
+  for (std::size_t attempt = 0;; ++attempt) {
+    // Roll every casualty back to its batch-start state: drop the log and
+    // latency suffix the failed attempt appended, then rebuild them all in
+    // one dispatch — the rebuilds (factory + log replay) run as parallel
+    // lane jobs, so one shard's replay never blocks a sibling's.
+    std::vector<std::size_t> retry_set;
+    std::vector<std::size_t> quarantine_set;
+    for (const std::size_t s : failed) {
+      Shard& shard = shards_[s];
+      const std::size_t done = shard.arrivals - shard.batch_arrivals;
+      shard.log.resize(shard.log.size() - done);
+      if (config_.collect_latencies) {
+        shard.latencies_s.resize(shard.latencies_s.size() - done);
+      }
+      shard.arrivals = shard.batch_arrivals;
+      shard.error = nullptr;
+      ++shard.task_failures;
+      if (attempt >= retry.max_retries) {
+        quarantine_set.push_back(s);
+      } else {
+        ++shard.retries;
+        retry_set.push_back(s);
       }
     }
-    return true;
-  });
-  if (!lca_pending_.empty()) reconcile_lca_pending(batch, base);
-  pumped_seconds_ += wall.elapsed_s();
-
-  // Identical failure semantics to the kTasks pump: drain first, void the
-  // failing shard's unprocessed placements, rethrow the first error.
-  std::exception_ptr first_error;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    if (!shard.error) continue;
-    if (!first_error) first_error = shard.error;
-    shard.error = nullptr;
-    const std::size_t processed = shard.arrivals - processed_before[s];
-    for (std::size_t j = processed; j < shard.pending.size(); ++j) {
-      placement_[base + shard.pending[j]].second = kInvalidId;
+    run_jobs(failed, JobKind::kRebuild, attempt);
+    // A rebuild that threw (corrupt checkpoint, factory failure) parked
+    // its exception in shard.error; surface the first one.
+    for (const std::size_t s : failed) {
+      if (!shards_[s].error) continue;
+      const std::exception_ptr error = shards_[s].error;
+      shards_[s].error = nullptr;
+      std::rethrow_exception(error);
     }
+    for (const std::size_t s : quarantine_set) {
+      // Exhausted retries: the shard is already rolled back to its last
+      // committed state (above); mark it quarantined and shed its share
+      // of this batch.
+      Shard& shard = shards_[s];
+      shard.quarantined = true;
+      for (const std::size_t idx : lanes_[s]->pending) {
+        decisions_[idx] = 0;
+        placement_[base + idx].second = kInvalidId;
+        modes_[base + idx] =
+            static_cast<std::uint8_t>(DecisionMode::kQuarantineShed);
+        ++shard.shed;
+      }
+    }
+    if (retry_set.empty()) return;
+    const double doubling = static_cast<double>(
+        std::uint64_t{1} << std::min<std::size_t>(attempt, 30));
+    double delay =
+        std::min(retry.backoff_max_s, retry.backoff_base_s * doubling);
+    const double u =
+        static_cast<double>(splitmix64(jitter_state) >> 11) * 0x1.0p-53;
+    delay *= 1.0 + retry.jitter * (2.0 * u - 1.0);
+    if (delay > 0.0) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+    }
+    for (const std::size_t s : retry_set) {
+      shards_[s].batch_busy_s = 0.0;
+      shards_[s].deadline_shed = false;
+    }
+    run_jobs(retry_set, JobKind::kRetry, attempt + 1);
+    failed.clear();
+    for (const std::size_t s : retry_set) {
+      if (shards_[s].error) failed.push_back(s);
+    }
+    if (failed.empty()) return;
   }
-  if (first_error) std::rethrow_exception(first_error);
-  std::vector<bool> accepted(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    accepted[i] = decisions_[i] != 0;
-  }
-  return accepted;
 }
 
 bool AdmissionService::request_crosses_shards(const Request& request) const {
@@ -494,6 +603,16 @@ void AdmissionService::reconcile_lca_pending(std::span<const Request> batch,
   }
 }
 
+bool AdmissionService::request_routable(
+    const Request& request) const noexcept {
+  if (request.edges.empty()) return false;
+  const std::size_t read = lca_algorithm_ ? request.edges.size() : 1;
+  for (std::size_t i = 0; i < read; ++i) {
+    if (request.edges[i] >= graph_.edge_count()) return false;
+  }
+  return true;
+}
+
 bool AdmissionService::request_well_formed(
     const Request& request) const noexcept {
   if (request.edges.empty()) return false;
@@ -506,225 +625,6 @@ bool AdmissionService::request_well_formed(
     prev = e;
   }
   return true;
-}
-
-std::vector<bool> AdmissionService::submit_batch_ft(
-    std::span<const Request> batch) {
-  Timer wall;
-  const FaultToleranceConfig& ft = config_.fault_tolerance;
-  const FaultInjector* injector = ft.injector.get();
-  for (Shard& shard : shards_) shard.pending.clear();
-  const std::size_t base = placement_.size();
-  placement_.reserve(base + batch.size());
-  modes_.reserve(base + batch.size());
-  decisions_.assign(batch.size(), 0);
-
-  // Route + admit-to-the-pump on the caller's thread.  Arrivals that are
-  // malformed (or flagged corrupt by the injector), owned by a
-  // quarantined shard, or beyond a shard's queue limit never reach an
-  // algorithm: their decision stays "rejected", their placement is voided
-  // (is_accepted throws instead of answering for the wrong request), and
-  // the mode records why.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Request& request = batch[i];
-    if ((injector && injector->corrupt(base + i)) ||
-        !request_well_formed(request)) {
-      // Attribute to the shard the first edge routes to when it is
-      // routable at all; shard 0 is the catch-all for unroutable garbage.
-      const std::size_t s =
-          (!request.edges.empty() && request.edges.front() < graph_.edge_count())
-              ? shard_of_edge(request.edges.front())
-              : 0;
-      ++shards_[s].malformed;
-      placement_.emplace_back(static_cast<std::uint32_t>(s), kInvalidId);
-      modes_.push_back(static_cast<std::uint8_t>(DecisionMode::kMalformed));
-      continue;
-    }
-    const std::size_t s = shard_of_request(request);
-    Shard& shard = shards_[s];
-    if (shard.quarantined) {
-      ++shard.shed;
-      placement_.emplace_back(static_cast<std::uint32_t>(s), kInvalidId);
-      modes_.push_back(
-          static_cast<std::uint8_t>(DecisionMode::kQuarantineShed));
-      continue;
-    }
-    if (ft.overload.max_shard_queue > 0 &&
-        shard.pending.size() >= ft.overload.max_shard_queue) {
-      ++shard.shed;
-      placement_.emplace_back(static_cast<std::uint32_t>(s), kInvalidId);
-      modes_.push_back(static_cast<std::uint8_t>(DecisionMode::kShed));
-      continue;
-    }
-    const auto local = static_cast<RequestId>(shard.algorithm->arrivals() +
-                                              shard.pending.size());
-    shard.pending.push_back(i);
-    placement_.emplace_back(static_cast<std::uint32_t>(s), local);
-    // Provisional; commit_shard_batch overwrites with the mode actually
-    // used (kShed when the degraded rule handled it).
-    modes_.push_back(static_cast<std::uint8_t>(DecisionMode::kEngine));
-  }
-
-  // Attempt loop: run every busy shard, retry the failed ones with
-  // exponential backoff (rebuilding their algorithms to the committed
-  // pre-batch state first), quarantine the ones that exhaust retries.
-  std::vector<std::size_t> to_run;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!shards_[s].pending.empty()) to_run.push_back(s);
-  }
-  std::uint64_t jitter_state =
-      ft.retry.jitter_seed ^ (static_cast<std::uint64_t>(base) + 1);
-  std::size_t attempt = 0;
-  while (!to_run.empty()) {
-    for (const std::size_t s : to_run) {
-      Shard& shard = shards_[s];
-      shard.error = nullptr;
-      shard.mode_scratch.assign(shard.pending.size(), 0);
-      shard.latency_scratch.clear();
-    }
-    dispatch_ft_attempts(to_run, batch, base, attempt, injector);
-    // Sort survivors from casualties first, then rebuild every casualty to
-    // its committed state in one dispatch — in kRings mode the rebuilds
-    // (factory + log replay) run as parallel lane jobs, so one shard's
-    // replay never blocks a sibling's (DESIGN.md §11.5).
-    std::vector<std::size_t> retry_set;
-    std::vector<std::size_t> quarantine_set;
-    std::vector<std::size_t> rebuild_set;
-    for (const std::size_t s : to_run) {
-      Shard& shard = shards_[s];
-      if (!shard.error) {
-        commit_shard_batch(s, batch, base);
-        continue;
-      }
-      shard.error = nullptr;
-      ++shard.task_failures;
-      rebuild_set.push_back(s);
-      if (attempt >= ft.retry.max_retries) {
-        quarantine_set.push_back(s);
-      } else {
-        ++shard.retries;
-        retry_set.push_back(s);
-      }
-    }
-    dispatch_rebuilds(rebuild_set);
-    for (const std::size_t s : quarantine_set) {
-      // Exhausted retries: the shard is already rolled back to its last
-      // committed state (above); mark it quarantined and shed its share
-      // of this batch.
-      Shard& shard = shards_[s];
-      shard.quarantined = true;
-      for (const std::size_t idx : shard.pending) {
-        decisions_[idx] = 0;
-        placement_[base + idx].second = kInvalidId;
-        modes_[base + idx] =
-            static_cast<std::uint8_t>(DecisionMode::kQuarantineShed);
-        ++shard.shed;
-      }
-    }
-    to_run = std::move(retry_set);
-    if (!to_run.empty()) {
-      const double doubling =
-          static_cast<double>(std::uint64_t{1} << std::min<std::size_t>(
-                                  attempt, 30));
-      double delay = std::min(ft.retry.backoff_max_s,
-                              ft.retry.backoff_base_s * doubling);
-      const double u =
-          static_cast<double>(splitmix64(jitter_state) >> 11) * 0x1.0p-53;
-      delay *= 1.0 + ft.retry.jitter * (2.0 * u - 1.0);
-      if (delay > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-      }
-      ++attempt;
-    }
-  }
-  pumped_seconds_ += wall.elapsed_s();
-
-  std::vector<bool> accepted(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    accepted[i] = decisions_[i] != 0;
-  }
-  return accepted;
-}
-
-void AdmissionService::run_shard_task_ft(std::size_t shard_index,
-                                         std::span<const Request> batch,
-                                         std::size_t base, std::size_t attempt,
-                                         const FaultInjector* injector) {
-  Shard& shard = shards_[shard_index];
-  try {
-    Timer busy;
-    Timer arrival_timer;
-    const OverloadPolicy& overload = config_.fault_tolerance.overload;
-    // Deadline shedding is per-batch: a slow sub-batch degrades its own
-    // tail, the next batch starts fresh.  The budget latch is per-shard
-    // and permanent until a rebuild re-derives it.
-    bool deadline_shed = false;
-    for (std::size_t j = 0; j < shard.pending.size(); ++j) {
-      const std::size_t idx = shard.pending[j];
-      if (injector) {
-        // Probe on the service-global arrival index: it advances even when
-        // the shard sheds, so a healed shard is not doomed to replay the
-        // exact probe pattern that quarantined it.
-        const std::size_t global_arrival = base + idx;
-        switch (injector->probe(shard_index, global_arrival, attempt)) {
-          case FaultAction::kException:
-            throw InjectedFault("injected shard-task fault (shard " +
-                                std::to_string(shard_index) + ", arrival " +
-                                std::to_string(global_arrival) + ", attempt " +
-                                std::to_string(attempt) + ")");
-          case FaultAction::kDelay:
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(injector->delay_seconds()));
-            ++shard.injected_delays;
-            break;
-          case FaultAction::kNone:
-            break;
-        }
-      }
-      if (overload.shard_deadline_s > 0.0 && !deadline_shed &&
-          busy.elapsed_s() > overload.shard_deadline_s) {
-        deadline_shed = true;
-      }
-      const bool shed_this = shard.degraded || deadline_shed;
-      if (config_.collect_latencies) arrival_timer.reset();
-      const ArrivalResult result =
-          shed_this ? shard.algorithm->process_shed(batch[idx])
-                    : shard.algorithm->process(batch[idx]);
-      if (config_.collect_latencies) {
-        shard.latency_scratch.push_back(arrival_timer.elapsed_s());
-      }
-      decisions_[idx] = result.accepted ? 1 : 0;
-      shard.mode_scratch[j] = static_cast<std::uint8_t>(
-          shed_this ? DecisionMode::kShed : DecisionMode::kEngine);
-      if (overload.shed_on_budget && !shard.degraded) {
-        const std::uint64_t budget = augmentation_step_budget(
-            shard.algorithm->arrivals(), graph_.edge_count(),
-            graph_.max_capacity());
-        if (shard.algorithm->augmentation_steps() > budget) {
-          shard.degraded = true;
-        }
-      }
-    }
-    shard.busy_seconds += busy.elapsed_s();
-  } catch (...) {
-    shard.error = std::current_exception();
-  }
-}
-
-void AdmissionService::commit_shard_batch(std::size_t shard_index,
-                                          std::span<const Request> batch,
-                                          std::size_t base) {
-  Shard& shard = shards_[shard_index];
-  shard.log.reserve(shard.log.size() + shard.pending.size());
-  for (std::size_t j = 0; j < shard.pending.size(); ++j) {
-    const std::size_t idx = shard.pending[j];
-    shard.log.push_back(LogEntry{batch[idx], shard.mode_scratch[j]});
-    modes_[base + idx] = shard.mode_scratch[j];
-  }
-  shard.arrivals += shard.pending.size();
-  shard.latencies_s.insert(shard.latencies_s.end(),
-                           shard.latency_scratch.begin(),
-                           shard.latency_scratch.end());
 }
 
 void AdmissionService::rebuild_shard(std::size_t shard_index) {
@@ -763,79 +663,6 @@ void AdmissionService::rebuild_shard(std::size_t shard_index) {
   shard.algorithm = std::move(fresh);
   shard.degraded = degraded;
   ++shard.restores;
-}
-
-void AdmissionService::dispatch_ft_attempts(
-    const std::vector<std::size_t>& to_run, std::span<const Request> batch,
-    std::size_t base, std::size_t attempt, const FaultInjector* injector) {
-  if (to_run.empty()) return;
-  if (config_.pump == PumpMode::kTasks) {
-    for (const std::size_t s : to_run) {
-      pool_->submit([this, s, batch, base, attempt, injector] {
-        run_shard_task_ft(s, batch, base, attempt, injector);
-      });
-    }
-    pool_->wait_idle();
-    return;
-  }
-  // kRings: post one job per shard to its owning persistent worker.  The
-  // release store into the job slot publishes live_batch_ and the job
-  // parameters; the worker's acquire pairs with it, and its kNone release
-  // store publishes the attempt's results back to this thread's acquire.
-  live_batch_ = batch;
-  for (const std::size_t s : to_run) {
-    Lane& lane = *lanes_[s];
-    lane.job_base = base;
-    lane.job_attempt = attempt;
-    lane.job_injector = injector;
-    lane.job.store(static_cast<std::uint8_t>(JobKind::kFtAttempt),
-                   std::memory_order_release);
-  }
-  kick_workers();
-  wait_for_workers([&] {
-    for (const std::size_t s : to_run) {
-      if (lanes_[s]->job.load(std::memory_order_acquire) !=
-          static_cast<std::uint8_t>(JobKind::kNone)) {
-        return false;
-      }
-    }
-    return true;
-  });
-}
-
-void AdmissionService::dispatch_rebuilds(
-    const std::vector<std::size_t>& failed) {
-  if (failed.empty()) return;
-  if (config_.pump == PumpMode::kTasks || failed.size() == 1) {
-    // Serial: the kTasks contract keeps the factory on the caller thread,
-    // and a single rebuild has no siblings to block.
-    for (const std::size_t s : failed) rebuild_shard(s);
-    return;
-  }
-  for (const std::size_t s : failed) {
-    lanes_[s]->job.store(static_cast<std::uint8_t>(JobKind::kRebuild),
-                         std::memory_order_release);
-  }
-  kick_workers();
-  wait_for_workers([&] {
-    for (const std::size_t s : failed) {
-      if (lanes_[s]->job.load(std::memory_order_acquire) !=
-          static_cast<std::uint8_t>(JobKind::kNone)) {
-        return false;
-      }
-    }
-    return true;
-  });
-  // A rebuild that threw (corrupt checkpoint, factory failure) parked its
-  // exception in shard.error; surface the first one like the serial path
-  // would have.
-  std::exception_ptr first_error;
-  for (const std::size_t s : failed) {
-    if (!shards_[s].error) continue;
-    if (!first_error) first_error = shards_[s].error;
-    shards_[s].error = nullptr;
-  }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 DecisionMode AdmissionService::decision_mode(
@@ -956,42 +783,49 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
     placements.emplace_back(shard, local);
   }
   std::vector<std::uint8_t> modes = r.vec<std::uint8_t>();
+  // Parse every shard record before touching this service, so a stream
+  // that fails mid-way leaves it as constructed.
+  std::vector<Shard> records;
+  std::vector<std::vector<std::uint8_t>> algo_blobs;
+  for (std::uint64_t s = 0; s < source_shards; ++s) {
+    Shard& record = records.emplace_back();
+    r.expect_tag("SHRD");
+    record.arrivals = static_cast<std::size_t>(r.u64());
+    record.task_failures = static_cast<std::size_t>(r.u64());
+    record.retries = static_cast<std::size_t>(r.u64());
+    record.restores = static_cast<std::size_t>(r.u64());
+    record.shed = static_cast<std::size_t>(r.u64());
+    record.malformed = static_cast<std::size_t>(r.u64());
+    record.injected_delays = static_cast<std::size_t>(r.u64());
+    record.quarantined = r.boolean();
+    record.degraded = r.boolean();
+    const std::uint64_t log_size = r.u64();
+    record.log.reserve(static_cast<std::size_t>(log_size));
+    for (std::uint64_t j = 0; j < log_size; ++j) {
+      LogEntry& entry = record.log.emplace_back();
+      entry.request.edges = r.vec<EdgeId>();
+      entry.request.cost = r.f64();
+      entry.request.must_accept = r.boolean();
+      entry.mode = r.u8();
+    }
+    algo_blobs.push_back(r.blob());
+  }
+  r.expect_end();
 
-  if (source_shards == shards_.size()) {
+  if (records.size() == shards_.size()) {
     // Same shard count: load every shard's algorithm snapshot directly.
     // The continuation is bit-identical to the uninterrupted run.
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = shards_[s];
-      r.expect_tag("SHRD");
-      shard.arrivals = static_cast<std::size_t>(r.u64());
-      shard.task_failures = static_cast<std::size_t>(r.u64());
-      shard.retries = static_cast<std::size_t>(r.u64());
-      shard.restores = static_cast<std::size_t>(r.u64());
-      shard.shed = static_cast<std::size_t>(r.u64());
-      shard.malformed = static_cast<std::size_t>(r.u64());
-      shard.injected_delays = static_cast<std::size_t>(r.u64());
-      shard.quarantined = r.boolean();
-      shard.degraded = r.boolean();
-      const std::uint64_t log_size = r.u64();
-      shard.log.clear();
-      shard.log.reserve(static_cast<std::size_t>(log_size));
-      for (std::uint64_t j = 0; j < log_size; ++j) {
-        LogEntry entry;
-        entry.request.edges = r.vec<EdgeId>();
-        entry.request.cost = r.f64();
-        entry.request.must_accept = r.boolean();
-        entry.mode = r.u8();
-        shard.log.push_back(std::move(entry));
-      }
-      const std::vector<std::uint8_t> algo_blob = r.blob();
       std::unique_ptr<OnlineAdmissionAlgorithm> fresh = factory_(graph_, s);
       MINREJ_CHECK(fresh != nullptr, "factory returned a null algorithm");
-      SnapshotReader algo(algo_blob, kAlgorithmSnapshotKind);
+      SnapshotReader algo(algo_blobs[s], kAlgorithmSnapshotKind);
       fresh->load_snapshot(algo);
       algo.expect_end();
-      shard.algorithm = std::move(fresh);
+      records[s].algorithm = std::move(fresh);
     }
-    r.expect_end();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      shards_[s] = std::move(records[s]);
+    }
     placement_ = std::move(placements);
     modes_ = std::move(modes);
     return;
@@ -1004,44 +838,29 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
   MINREJ_REQUIRE(has_log,
                  "reshard-on-restore needs the source service's arrival log "
                  "(fault tolerance was disabled when the snapshot was taken)");
-  std::vector<std::vector<Request>> logs(
-      static_cast<std::size_t>(source_shards));
-  for (std::uint64_t s = 0; s < source_shards; ++s) {
-    r.expect_tag("SHRD");
-    for (int skip = 0; skip < 7; ++skip) r.u64();  // counters
-    r.boolean();  // quarantined
-    r.boolean();  // degraded
-    const std::uint64_t log_size = r.u64();
-    logs[s].reserve(static_cast<std::size_t>(log_size));
-    for (std::uint64_t j = 0; j < log_size; ++j) {
-      Request request;
-      request.edges = r.vec<EdgeId>();
-      request.cost = r.f64();
-      request.must_accept = r.boolean();
-      const std::uint8_t mode = r.u8();
-      MINREJ_REQUIRE(mode == static_cast<std::uint8_t>(DecisionMode::kEngine),
-                     "reshard-on-restore requires an engine-mode-only "
-                     "trajectory (the source load-shed arrivals)");
-      logs[s].push_back(std::move(request));
-    }
-    r.blob();  // the source algorithm snapshot; replay rebuilds from logs
-  }
-  r.expect_end();
   std::vector<Request> sequence;
   sequence.reserve(placements.size());
   for (const auto& [shard, local] : placements) {
     MINREJ_REQUIRE(local != kInvalidId,
                    "reshard-on-restore cannot replay shed or malformed "
                    "arrivals — their requests were never logged");
-    MINREJ_REQUIRE(shard < logs.size() && local < logs[shard].size(),
+    MINREJ_REQUIRE(shard < records.size() && local < records[shard].log.size(),
                    "snapshot placement points outside the shard log");
-    sequence.push_back(logs[static_cast<std::size_t>(shard)][local]);
+    const LogEntry& entry = records[shard].log[local];
+    MINREJ_REQUIRE(
+        entry.mode == static_cast<std::uint8_t>(DecisionMode::kEngine),
+        "reshard-on-restore requires an engine-mode-only trajectory (the "
+        "source load-shed arrivals)");
+    sequence.push_back(entry.request);
   }
-  for (std::size_t offset = 0; offset < sequence.size();
+  pump_all(sequence);
+}
+
+void AdmissionService::pump_all(std::span<const Request> requests) {
+  for (std::size_t offset = 0; offset < requests.size();
        offset += config_.batch) {
-    const std::size_t count =
-        std::min(config_.batch, sequence.size() - offset);
-    submit_batch(std::span<const Request>(sequence.data() + offset, count));
+    submit_batch(requests.subspan(
+        offset, std::min(config_.batch, requests.size() - offset)));
   }
 }
 
@@ -1049,13 +868,7 @@ ServiceStats AdmissionService::run(const AdmissionInstance& instance) {
   MINREJ_REQUIRE(instance.graph().edge_count() == graph_.edge_count(),
                  "instance graph does not match the service graph");
   Timer wall;
-  const std::vector<Request>& requests = instance.requests();
-  for (std::size_t offset = 0; offset < requests.size();
-       offset += config_.batch) {
-    const std::size_t count =
-        std::min(config_.batch, requests.size() - offset);
-    submit_batch(std::span<const Request>(requests.data() + offset, count));
-  }
+  pump_all(instance.requests());
   ServiceStats stats = aggregate();
   stats.seconds = wall.elapsed_s();
   return stats;
@@ -1131,23 +944,18 @@ ServiceStats AdmissionService::aggregate() const {
   stats.seconds = pumped_seconds_;
   std::vector<double> latencies;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
+    const ShardStats shard = shard_stats(s);
     stats.arrivals += shard.arrivals;
-    const std::size_t rejected = shard.algorithm->rejected_count();
-    stats.rejected += rejected;
-    stats.accepted += shard.arrivals - rejected;
-    stats.rejected_cost += shard.algorithm->rejected_cost();
-    stats.augmentation_steps += shard.algorithm->augmentation_steps();
+    stats.accepted += shard.accepted;
+    stats.rejected += shard.rejected;
+    stats.rejected_cost += shard.rejected_cost;
+    stats.augmentation_steps += shard.augmentation_steps;
     stats.max_shard_busy_s =
         std::max(stats.max_shard_busy_s, shard.busy_seconds);
     stats.total_busy_s += shard.busy_seconds;
     latencies.insert(latencies.end(), shard.latencies_s.begin(),
                      shard.latencies_s.end());
-    const std::uint64_t budget = augmentation_step_budget(
-        shard.arrivals, graph_.edge_count(), graph_.max_capacity());
-    if (shard.algorithm->augmentation_steps() > budget) {
-      ++stats.budget_exceeded_shards;
-    }
+    if (shard.augmentation_budget_exceeded) ++stats.budget_exceeded_shards;
     stats.task_failures += shard.task_failures;
     stats.retries += shard.retries;
     stats.restores += shard.restores;

@@ -8,10 +8,11 @@
 // arXiv:1205.1312): the edge set is partitioned into K *shards*, each
 // shard owns a full, independent algorithm instance over the same graph,
 // and every arriving request is routed to the shard of its first (lowest)
-// edge.  Batches of arrivals are pumped through the util/thread_pool —
-// one sequential task per shard per batch — so shard trajectories are
-// deterministic regardless of scheduling: shard s always sees exactly the
-// subsequence of arrivals routed to it, in arrival order.
+// edge.  One pump serves every batch (DESIGN.md §11): the caller routes
+// arrivals in order and streams them into per-shard lock-free rings, and
+// persistent workers (shard s → worker s mod W) consume them — so shard
+// trajectories are deterministic regardless of scheduling: shard s always
+// sees exactly the subsequence of arrivals routed to it, in arrival order.
 //
 // Partitioning invariant (DESIGN.md §6.1): when every request's edges lie
 // in a single shard ("shard-disjoint" traffic — single-edge requests under
@@ -26,15 +27,15 @@
 // shared across shards may be oversubscribed globally; see DESIGN.md §6.1
 // for why this is the documented relaxation rather than an error.
 //
-// Fault tolerance (DESIGN.md §9): with ServiceConfig::fault_tolerance
-// enabled the pump validates arrivals before they reach an algorithm,
-// retries failed shard tasks with exponential backoff, quarantines a shard
-// whose retries are exhausted (rebuilding it to its last committed state),
-// applies backpressure and load-shedding under overload, and keeps a
-// per-shard committed arrival log that — together with the snapshot layer
+// Fault tolerance (DESIGN.md §9) is a per-shard policy on the same pump:
+// with ServiceConfig::fault_tolerance enabled the router validates
+// arrivals and sheds for quarantine and queue caps, the owning worker
+// probes the injector, latches deadline/budget shedding and appends the
+// shard's committed arrival log as it goes, and after the batch barrier a
+// failed shard is rolled back, rebuilt and retried with exponential
+// backoff or quarantined.  The log — together with the snapshot layer
 // (io/snapshot.h) — supports snapshot(), restore(), checkpoint() and
-// restore_shard().  All of it is behind one branch in submit_batch: a
-// service with fault tolerance disabled runs the exact pre-existing code.
+// restore_shard().
 #pragma once
 
 #include <atomic>
@@ -53,7 +54,7 @@
 #include "core/online_admission.h"
 #include "graph/request.h"
 #include "util/spsc_ring.h"
-#include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace minrej {
 
@@ -93,8 +94,8 @@ struct OverloadPolicy {
   /// Max arrivals queued per shard per batch; overflow is shed at routing
   /// (backpressure — the closed-loop clients re-arrive them).  0 = off.
   std::size_t max_shard_queue = 0;
-  /// Per-batch processing deadline per shard; once a shard task exceeds
-  /// it, the rest of its sub-batch runs through the degraded threshold
+  /// Per-batch processing deadline per shard; once a shard's worker has
+  /// spent longer than this on the batch, the rest of its sub-batch runs through the degraded threshold
   /// rule (process_shed).  Timing-dependent, hence opt-in and excluded
   /// from the determinism contract.  0 = off.
   double shard_deadline_s = 0.0;
@@ -103,8 +104,8 @@ struct OverloadPolicy {
   bool shed_on_budget = false;
 };
 
-/// Master switch plus policies.  Disabled (the default) costs one branch
-/// per submit_batch; nothing else changes.
+/// Master switch plus policies.  Disabled (the default) costs a few
+/// predictable branches per arrival; no log, modes or retries are kept.
 struct FaultToleranceConfig {
   bool enabled = false;
   RetryPolicy retry;
@@ -119,30 +120,14 @@ struct FaultToleranceConfig {
 /// only the traffic is partitioned).  The shard index lets factories
 /// derive per-shard seeds.
 ///
-/// With PumpMode::kRings the factory may additionally be invoked from
-/// worker threads (parallel committed-log rebuild after a shard failure),
-/// possibly for several shards at once — it must be thread-safe.  The
-/// stock factories (randomized_shard_factory and the test factories) are:
-/// they capture only values and construct fresh objects.
+/// The factory must be thread-safe: besides the caller's thread it runs on
+/// the pump workers (parallel committed-log rebuild after a shard
+/// failure), possibly for several shards at once.  The stock factories
+/// (randomized_shard_factory and the test factories) are: they capture
+/// only values and construct fresh objects.
 using ShardAlgorithmFactory =
     std::function<std::unique_ptr<OnlineAdmissionAlgorithm>(
         const Graph& graph, std::size_t shard)>;
-
-/// How submit_batch distributes shard work (DESIGN.md §11).
-enum class PumpMode : std::uint8_t {
-  /// One sequential task per busy shard per batch on a util/thread_pool —
-  /// the original pump.  Per-batch cost: one queue lock + one
-  /// std::function allocation per busy shard, plus a full pool wake/idle
-  /// cycle per batch.
-  kTasks = 0,
-  /// Persistent per-shard workers fed by bounded lock-free SPSC rings
-  /// (util/spsc_ring.h): the routing thread is the single producer of
-  /// every ring, shard s is consumed by worker s mod W only.  Workers
-  /// outlive batches, so steady-state pumping touches no mutex and no
-  /// allocator.  Decision streams are bit-identical to kTasks for every
-  /// worker count (the §11.2 determinism contract).
-  kRings = 1,
-};
 
 /// Service knobs.
 struct ServiceConfig {
@@ -150,10 +135,11 @@ struct ServiceConfig {
   std::size_t shards = 1;
   /// Arrivals per pump in run(); submit_batch takes what it is given.
   std::size_t batch = 256;
-  /// Worker threads; 0 selects one per shard (capped at hardware).
+  /// Persistent pump workers; 0 selects one per shard (capped at
+  /// hardware).  Decisions are identical for every worker count.
   std::size_t threads = 0;
   /// Record per-arrival processing latency (two clock reads per arrival
-  /// inside the shard task).  Off by default, same rationale as
+  /// on the shard's worker).  Off by default, same rationale as
   /// RunOptions::collect_latencies.
   bool collect_latencies = false;
   /// Optional edge → shard override (must return values < shards; checked
@@ -163,16 +149,8 @@ struct ServiceConfig {
   std::function<std::size_t(EdgeId)> partition;
   /// Fault-tolerance layer (DESIGN.md §9).  Off by default.
   FaultToleranceConfig fault_tolerance;
-  /// Pump implementation (DESIGN.md §11).  Decision streams are identical
-  /// across modes and worker counts; only the scheduling differs.
-  PumpMode pump = PumpMode::kTasks;
-  /// Ring capacity per shard in kRings mode, rounded up to a power of two
-  /// (0 selects max(1024, batch)).  The routing thread spin-yields on a
-  /// full ring, so this is purely a throughput knob, never a correctness
-  /// one.
-  std::size_t ring_capacity = 0;
   /// Divert requests whose edges span multiple shards to a sequential
-  /// reconcile lane instead of their first-edge owner (DESIGN.md §11.4):
+  /// reconcile lane instead of their first-edge owner (DESIGN.md §11.5):
   /// the owning shard answers speculatively from its local view
   /// (would_overflow on the request's edges), then a dedicated reconcile
   /// engine decides authoritatively in arrival order.  Removes the §6.1
@@ -192,7 +170,7 @@ struct ShardStats {
   std::size_t rejected = 0;
   double rejected_cost = 0.0;
   std::uint64_t augmentation_steps = 0;
-  /// Time this shard's tasks spent processing (sums over batches; the
+  /// Time this shard's worker spent processing (sums over batches; the
   /// max over shards is the critical path of the pump).
   double busy_seconds = 0.0;
   /// Per-arrival latencies in seconds, arrival order (empty unless
@@ -280,21 +258,19 @@ ShardAlgorithmFactory randomized_shard_factory(bool unit_costs,
 class AdmissionService {
  public:
   /// Builds `config.shards` algorithm instances via `factory` (each must
-  /// be constructed on `graph` — checked) and spins up the worker pool.
+  /// be constructed on `graph` — checked) and starts the pump workers.
   AdmissionService(const Graph& graph, ShardAlgorithmFactory factory,
                    ServiceConfig config = {});
 
-  /// Joins the persistent ring workers (PumpMode::kRings).  Legal only
-  /// between batches — like every other member, submit_batch must not be
-  /// in flight.
+  /// Joins the pump workers.  Legal only between batches — like every
+  /// other member, submit_batch must not be in flight.
   ~AdmissionService();
 
   AdmissionService(const AdmissionService&) = delete;
   AdmissionService& operator=(const AdmissionService&) = delete;
 
-  /// Worker threads actually pumping shards: persistent ring workers in
-  /// kRings mode, pool threads in kTasks mode.
-  std::size_t worker_count() const noexcept;
+  /// Persistent workers actually pumping shards.
+  std::size_t worker_count() const noexcept { return workers_.size(); }
 
   /// placement().first for arrivals handled by the LCA reconcile lane.
   static constexpr std::size_t kLcaLane = static_cast<std::size_t>(-1);
@@ -308,14 +284,17 @@ class AdmissionService {
   /// Shard of the request's first (lowest — edge lists are sorted) edge.
   std::size_t shard_of_request(const Request& request) const;
 
-  /// Pumps one batch through the shards: requests are split by shard in
-  /// input order, each shard's sub-batch runs as one sequential task on
-  /// the pool, and the per-request admission decisions come back in input
-  /// order.  On a shard failure the batch drains first, the failing
-  /// shard's unprocessed arrivals get their placements voided (their
-  /// is_accepted throws instead of aliasing a later request), and the
-  /// first failure (by shard index) is rethrown; healthy shards keep
-  /// their results and the service remains usable.
+  /// Pumps one batch through the shards: requests are routed by shard in
+  /// input order, each shard's owning worker processes its arrivals in
+  /// that order, and the per-request admission decisions come back in
+  /// input order.  Without fault tolerance, a request that cannot be
+  /// routed (no edges, or any edge the router reads out of range) rejects
+  /// the whole batch with InvalidArgument before anything is recorded; on
+  /// a shard failure the batch drains first, the failing shard's
+  /// unprocessed arrivals get their placements voided (their is_accepted
+  /// throws instead of aliasing a later request), and the first failure
+  /// (by shard index) is rethrown; healthy shards keep their results and
+  /// the service remains usable.
   std::vector<bool> submit_batch(std::span<const Request> batch);
 
   /// Pumps the whole instance through submit_batch in config.batch slices
@@ -336,7 +315,7 @@ class AdmissionService {
 
   const OnlineAdmissionAlgorithm& shard_algorithm(std::size_t shard) const;
 
-  // --- LCA reconcile lane (ServiceConfig::lca_reconcile; DESIGN.md §11.4) ---
+  // --- LCA reconcile lane (ServiceConfig::lca_reconcile; DESIGN.md §11.5) ---
 
   /// The reconcile-lane engine (requires lca_reconcile).
   const OnlineAdmissionAlgorithm& lca_algorithm() const;
@@ -400,21 +379,22 @@ class AdmissionService {
     std::uint8_t mode = 0;  // DecisionMode::kEngine or kShed
   };
 
-  /// alignas: in kRings mode a shard's fields (arrivals, busy time,
-  /// latencies, error) are written by its owning worker while sibling
-  /// workers write the neighbouring shards — cache-line alignment keeps
-  /// those writes from false-sharing one line (§11.3 audit).
+  /// alignas: a shard's fields (arrivals, busy time, latencies, log,
+  /// error) are written by its owning worker while sibling workers write
+  /// the neighbouring shards — cache-line alignment keeps those writes
+  /// from false-sharing one line (§11.4 audit).
   struct alignas(kCacheLineBytes) Shard {
     std::unique_ptr<OnlineAdmissionAlgorithm> algorithm;
     std::size_t arrivals = 0;
     double busy_seconds = 0.0;
     std::vector<double> latencies_s;
-    std::vector<std::size_t> pending;  // batch indices, reused per batch
     std::exception_ptr error;
+    // Per-batch state, reset by the router before the first ring push.
+    std::size_t batch_arrivals = 0;    // arrivals at batch start
+    double batch_busy_s = 0.0;         // deadline clock of this attempt
+    bool deadline_shed = false;        // OverloadPolicy::shard_deadline_s
     // Fault-tolerance state (untouched when the layer is disabled).
     std::vector<LogEntry> log;         // committed arrivals, id order
-    std::vector<std::uint8_t> mode_scratch;    // per-batch, parallels pending
-    std::vector<double> latency_scratch;       // committed only on success
     std::vector<std::uint8_t> checkpoint_blob; // last checkpoint() snapshot
     std::size_t checkpoint_log_len = 0;
     bool checkpoint_degraded = false;
@@ -428,63 +408,86 @@ class AdmissionService {
     std::size_t injected_delays = 0;
   };
 
-  /// Per-shard ingest lane for the kRings pump (DESIGN.md §11.1).  The
-  /// hot cross-thread state: the routing thread produces batch indices
-  /// into `ring`, the owning worker consumes them and publishes progress
-  /// through `consumed`.  alignas on the struct plus per-field alignas
-  /// keeps producer-written, consumer-written and job state on disjoint
-  /// cache lines (§11.3).
+  /// Per-shard ingest lane (DESIGN.md §11.1).  The hot cross-thread
+  /// state: the routing thread produces batch indices into `ring`, the
+  /// owning worker consumes them and publishes progress through
+  /// `consumed`.  alignas on the struct plus per-field alignas keeps
+  /// producer-written, consumer-written, job and router-only state on
+  /// disjoint cache lines (§11.4).
   struct alignas(kCacheLineBytes) Lane {
     /// Batch indices of this shard's arrivals, produced in arrival order.
     SpscRing<std::uint32_t> ring;
-    /// Cumulative fast-path arrivals consumed by the owning worker.  One
-    /// release fetch_add per processed chunk; the routing thread's acquire
-    /// load is the batch-completion barrier that publishes every shard
-    /// field the worker wrote (decisions, latencies, busy time, errors).
+    /// Cumulative arrivals consumed by the owning worker.  One release
+    /// fetch_add per processed chunk; the routing thread's acquire load is
+    /// the batch-completion barrier that publishes every shard field the
+    /// worker wrote (decisions, log, latencies, busy time, errors).
     alignas(kCacheLineBytes) std::atomic<std::uint64_t> consumed{0};
-    /// Job slot for the fault-tolerant pump: the routing thread publishes
-    /// the parameters below with the release store into `job` (a JobKind);
-    /// the worker acquires, runs, and release-stores kNone when done.
+    /// Job slot for post-barrier recovery: the routing thread publishes
+    /// `job_attempt` with the release store into `job` (a JobKind); the
+    /// worker acquires, runs, and release-stores kNone when done.
     alignas(kCacheLineBytes) std::atomic<std::uint8_t> job{0};
-    std::size_t job_base = 0;
     std::size_t job_attempt = 0;
-    const FaultInjector* job_injector = nullptr;
+    /// Router-side state of the current batch, written per routed arrival
+    /// by the routing thread only (workers read `pending` in post-barrier
+    /// jobs): the batch indices routed here, the next shard-local id, and
+    /// the cumulative push count the barrier waits for `consumed` to
+    /// reach.
+    alignas(kCacheLineBytes) std::vector<std::size_t> pending;
+    RequestId next_local = 0;
+    std::uint64_t pushed = 0;
 
     explicit Lane(std::size_t capacity) : ring(capacity) {}
   };
 
-  enum class JobKind : std::uint8_t { kNone = 0, kFtAttempt = 1, kRebuild = 2 };
+  enum class JobKind : std::uint8_t { kNone = 0, kRetry = 1, kRebuild = 2 };
 
-  // --- kRings pump internals (DESIGN.md §11) ---
-  std::vector<bool> submit_batch_rings(std::span<const Request> batch);
-  void start_workers();
-  void stop_workers();
+  // --- the pump (DESIGN.md §11) ---
   void worker_loop(std::size_t worker, std::size_t worker_total);
   /// Consumes up to one chunk from shard s's ring; returns true if it did
   /// any work.  Runs on the owning worker only.
   bool drain_lane(std::size_t s);
   /// Runs shard s's posted job slot if any; returns true if it did.
   bool run_lane_job(std::size_t s);
+  /// The per-arrival step, shared by ring consumption and retry jobs:
+  /// under fault tolerance the injector probe and the deadline/budget
+  /// latches, then process or process_shed, then the decision, latency,
+  /// mode and log writes.  An exception parks in shard.error and the
+  /// shard discards the rest of its batch.  `busy` times the current
+  /// chunk (the deadline clock).
+  void process_arrival(std::size_t s, std::size_t idx, std::size_t attempt,
+                       const Timer& busy);
+  /// Posts `kind` to every listed shard's job slot and waits until the
+  /// owning workers have run them.
+  void run_jobs(const std::vector<std::size_t>& shards, JobKind kind,
+                std::size_t attempt);
   /// Bumps the wake epoch under the pump mutex so sleeping workers
-  /// re-poll.  The only lock the rings path takes, and only when a worker
-  /// may be asleep.
+  /// re-poll.  The only lock the pump takes, and only when a worker may
+  /// be asleep.
   void kick_workers();
   /// Blocks the routing thread until pred() holds: bounded spin-yield,
   /// then timed condvar waits (workers notify cv_done_ after progress).
   void wait_for_workers(const std::function<bool()>& pred);
 
-  // --- fault-tolerant dispatch, shared by both pump modes ---
-  /// Runs one FT attempt for every shard in `to_run`: pool tasks in
-  /// kTasks mode, lane jobs on the persistent workers in kRings mode.
-  void dispatch_ft_attempts(const std::vector<std::size_t>& to_run,
-                            std::span<const Request> batch, std::size_t base,
-                            std::size_t attempt, const FaultInjector* injector);
-  /// Rebuilds every listed shard to its committed state: serially on the
-  /// caller in kTasks mode, as parallel lane jobs in kRings mode — one
-  /// shard's log replay must not block its siblings (DESIGN.md §11.5).
-  void dispatch_rebuilds(const std::vector<std::size_t>& failed);
+  /// submit_batch over `requests` in config.batch slices.
+  void pump_all(std::span<const Request> requests);
 
-  // --- LCA reconcile lane (DESIGN.md §11.4) ---
+  // --- fault-tolerance policy (DESIGN.md §9) ---
+  /// Post-barrier recovery of the shards whose batch failed: roll their
+  /// log and latency suffix back to the batch-start length, rebuild them,
+  /// then retry with backoff or quarantine once retries are exhausted.
+  void recover_failed_shards(std::vector<std::size_t> failed,
+                             std::size_t base);
+  /// Rebuilds the shard's algorithm to its last committed state: fresh
+  /// factory instance, checkpoint load when available, log replay for the
+  /// rest (re-deriving the budget latch deterministically).
+  void rebuild_shard(std::size_t shard);
+  bool request_well_formed(const Request& request) const noexcept;
+  /// True when the router can place the request: it has edges and every
+  /// edge routing reads (the first; all of them under lca_reconcile) is
+  /// in range.
+  bool request_routable(const Request& request) const noexcept;
+
+  // --- LCA reconcile lane (DESIGN.md §11.5) ---
   /// True when the request's edges span more than one shard.
   bool request_crosses_shards(const Request& request) const;
   /// Drains lca_pending_ through the reconcile engine in arrival order,
@@ -493,42 +496,26 @@ class AdmissionService {
   void reconcile_lca_pending(std::span<const Request> batch,
                              std::size_t base);
 
-  std::vector<bool> submit_batch_ft(std::span<const Request> batch);
-  /// Body of one fault-tolerant shard task (runs on the pool).
-  void run_shard_task_ft(std::size_t shard, std::span<const Request> batch,
-                         std::size_t base, std::size_t attempt,
-                         const FaultInjector* injector);
-  /// Appends a successful sub-batch to the shard's log and commits its
-  /// scratch (modes, latencies, arrival count).
-  void commit_shard_batch(std::size_t shard, std::span<const Request> batch,
-                          std::size_t base);
-  /// Rebuilds the shard's algorithm to its last committed state: fresh
-  /// factory instance, checkpoint load when available, log replay for the
-  /// rest (re-deriving the budget latch deterministically).
-  void rebuild_shard(std::size_t shard);
-  bool request_well_formed(const Request& request) const noexcept;
-
   const Graph& graph_;
   ShardAlgorithmFactory factory_;
   ServiceConfig config_;
   std::vector<Shard> shards_;
-  /// kTasks mode only; kRings never constructs a pool.
-  std::unique_ptr<ThreadPool> pool_;
-  /// kRings mode only: one lane per shard (unique_ptr — lanes hold atomics
-  /// and a ring, neither movable) and the persistent workers.  Shard s is
-  /// owned by worker s mod ring_workers_.size().
+  /// One lane per shard (unique_ptr — lanes hold atomics and a ring,
+  /// neither movable) and the persistent workers.  Shard s is owned by
+  /// worker s mod workers_.size().
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::thread> ring_workers_;
-  /// The batch currently being pumped.  Written by the routing thread
-  /// before any ring push / job post of the batch; workers read it only
-  /// after a successful pop / job acquire, so the ring's release/acquire
-  /// edge publishes it (§11.2 memory-order contract).
+  std::vector<std::thread> workers_;
+  /// The batch currently being pumped and the arrival index of its first
+  /// request.  Written by the routing thread before any ring push / job
+  /// post of the batch; workers read them only after a successful pop /
+  /// job acquire, so the ring's release/acquire edge publishes them
+  /// (§11.3 memory-order contract).
   std::span<const Request> live_batch_;
-  /// Sleep/wake plumbing for the rings pump.  Workers spin-poll between
-  /// batches for a bounded grace period, then wait on cv_wake_ with a
-  /// short timeout; wake_epoch_ bumps (kick_workers) cut the latency of
-  /// the common case.  The timeout makes a lost wakeup cost microseconds,
-  /// never a deadlock.
+  std::size_t live_base_ = 0;
+  /// Sleep/wake plumbing.  Workers spin-poll between batches for a
+  /// bounded grace period, then wait on cv_wake_ with a short timeout;
+  /// wake_epoch_ bumps (kick_workers) cut the latency of the common case.
+  /// The timeout makes a lost wakeup cost microseconds, never a deadlock.
   std::mutex pump_mu_;
   std::condition_variable cv_wake_;
   std::condition_variable cv_done_;
@@ -543,10 +530,12 @@ class AdmissionService {
   /// kLcaLane).
   static constexpr std::uint32_t kLcaShardMarker = 0xFFFFFFFFu;
   std::vector<std::pair<std::uint32_t, RequestId>> placement_;
-  /// arrival index → DecisionMode (only under fault tolerance).
+  /// arrival index → DecisionMode (only under fault tolerance).  Sized for
+  /// the batch before the first ring push; workers write their arrivals'
+  /// entries by index.
   std::vector<std::uint8_t> modes_;
-  /// Per-batch decision scratch (uint8_t, not vector<bool>: shard tasks
-  /// write disjoint elements concurrently and vector<bool> packs bits).
+  /// Per-batch decision scratch (uint8_t, not vector<bool>: workers write
+  /// disjoint elements concurrently and vector<bool> packs bits).
   std::vector<std::uint8_t> decisions_;
   double pumped_seconds_ = 0.0;
 };

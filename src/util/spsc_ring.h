@@ -2,8 +2,8 @@
 // plus the cache-line helpers the concurrent service pump builds on
 // (DESIGN.md §11).
 //
-// The concurrent pump (service/admission_service.h, PumpMode::kRings)
-// gives every shard one of these rings: the routing thread is the single
+// The service pump (service/admission_service.h, DESIGN.md §11) gives
+// every shard one of these rings: the routing thread is the single
 // producer, the shard's persistent worker the single consumer.  That
 // ownership discipline is what makes the ring lock-free with only two
 // atomics — each index has exactly one writer:

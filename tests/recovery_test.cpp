@@ -569,13 +569,13 @@ TEST(FaultTolerantPump, DisabledFaultToleranceKeepsTheFastPath) {
 }
 
 TEST(FaultTolerantPump, KillAndHealUnderALiveMultiWorkerPump) {
-  // DESIGN.md §11.5: the fault-tolerant pump composes with the concurrent
-  // ring workers.  One shard is killed mid-run (scripted fault on every
+  // DESIGN.md §11.5: fault tolerance is a per-shard policy on the ring
+  // workers.  One shard is killed mid-run (scripted fault on every
   // attempt → quarantine) while recoverable faults on three sibling shards
   // land in the same batch, so their committed-log rebuilds run as
   // parallel lane jobs.  restore_shard then heals the dead shard under
-  // the same live workers, and the whole run must be bit-identical to the
-  // sequential kTasks FT pump under the identical fault plan.
+  // the same live workers, and the whole 4-worker run must be
+  // bit-identical to a 1-worker run under the identical fault plan.
   const AdmissionInstance inst = make_mixed_instance(400, 18);
   ServiceConfig cfg;
   cfg.shards = 4;
@@ -618,9 +618,9 @@ TEST(FaultTolerantPump, KillAndHealUnderALiveMultiWorkerPump) {
   }
   cfg.fault_tolerance.injector = std::make_shared<FaultInjector>(plan);
 
-  const auto run = [&](PumpMode mode) {
+  const auto run = [&](std::size_t workers) {
     ServiceConfig c = cfg;
-    c.pump = mode;
+    c.threads = workers;
     auto service =
         std::make_unique<AdmissionService>(inst.graph(), factory, c);
     pump(*service, inst, 0, 300, c.batch);
@@ -639,26 +639,30 @@ TEST(FaultTolerantPump, KillAndHealUnderALiveMultiWorkerPump) {
     EXPECT_GT(service->shard_stats(1).shed, 0u);  // the dead window shed
     return service;
   };
-  const auto rings = run(PumpMode::kRings);
-  const auto tasks = run(PumpMode::kTasks);
+  const auto multi = run(4);
+  const auto single = run(1);
 
-  ASSERT_EQ(rings->arrivals(), tasks->arrivals());
-  for (std::size_t i = 0; i < rings->arrivals(); ++i) {
-    ASSERT_EQ(rings->decision_mode(i), tasks->decision_mode(i)) << i;
-    if (rings->decision_mode(i) == DecisionMode::kEngine) {
-      ASSERT_EQ(rings->is_accepted(i), tasks->is_accepted(i)) << i;
+  ASSERT_EQ(multi->arrivals(), single->arrivals());
+  for (std::size_t i = 0; i < multi->arrivals(); ++i) {
+    ASSERT_EQ(multi->decision_mode(i), single->decision_mode(i)) << i;
+    if (multi->decision_mode(i) == DecisionMode::kEngine) {
+      ASSERT_EQ(multi->is_accepted(i), single->is_accepted(i)) << i;
     }
   }
   for (std::size_t s = 0; s < cfg.shards; ++s) {
-    const ShardStats a = rings->shard_stats(s);
-    const ShardStats b = tasks->shard_stats(s);
+    const ShardStats a = multi->shard_stats(s);
+    const ShardStats b = single->shard_stats(s);
     EXPECT_EQ(a.arrivals, b.arrivals) << s;
     EXPECT_EQ(a.shed, b.shed) << s;
+    EXPECT_EQ(a.task_failures, b.task_failures) << s;
+    EXPECT_EQ(a.retries, b.retries) << s;
+    EXPECT_EQ(a.restores, b.restores) << s;
+    EXPECT_EQ(a.quarantined, b.quarantined) << s;
     EXPECT_EQ(a.rejected, b.rejected) << s;
     EXPECT_DOUBLE_EQ(a.rejected_cost, b.rejected_cost) << s;
   }
-  EXPECT_DOUBLE_EQ(rings->aggregate().rejected_cost,
-                   tasks->aggregate().rejected_cost);
+  EXPECT_DOUBLE_EQ(multi->aggregate().rejected_cost,
+                   single->aggregate().rejected_cost);
 }
 
 }  // namespace

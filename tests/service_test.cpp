@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <memory>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -380,16 +381,16 @@ TEST_F(ServiceStatsTest, PlacementTracksOwningShardAndLocalOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent pump (PumpMode::kRings) — DESIGN.md §11
+// Concurrent pump — DESIGN.md §11
 // ---------------------------------------------------------------------------
 
 class ConcurrentPump : public test::SeededTest {};
 
 TEST_F(ConcurrentPump, BitIdenticalAcrossWorkerCountsSeedsAndScenarios) {
-  // The §11.2 contract: for every worker count the rings pump's decision
-  // stream equals the sequential (kTasks, one thread) pump's, bit for bit
-  // — routing fixes each shard's arrival subsequence before workers run,
-  // and each shard is consumed by exactly one worker in ring order.
+  // The §11.2 contract: for every worker count the pump's decision stream
+  // equals the sequential per-shard replay, bit for bit — routing fixes
+  // each shard's arrival subsequence before workers run, and each shard
+  // is consumed by exactly one worker in ring order.
   for (const std::uint64_t seed : {5u, 11u, 23u}) {
     for (const char* scenario : {"dense_burst", "power_law", "diurnal"}) {
       ScenarioParams params;
@@ -398,55 +399,57 @@ TEST_F(ConcurrentPump, BitIdenticalAcrossWorkerCountsSeedsAndScenarios) {
       Rng scenario_rng(seed);
       const AdmissionInstance inst =
           make_scenario(scenario, params, scenario_rng);
-      const auto factory = [seed](const Graph& graph, std::size_t shard) {
+      const ShardAlgorithmFactory factory = [seed](const Graph& graph,
+                                                   std::size_t shard) {
         RandomizedConfig cfg;
         cfg.seed = seed + shard;
         return std::make_unique<RandomizedAdmission>(graph, cfg);
       };
-      ServiceConfig sequential_cfg;
-      sequential_cfg.shards = 5;
-      sequential_cfg.batch = 128;
-      sequential_cfg.threads = 1;
-      AdmissionService sequential(inst.graph(), factory, sequential_cfg);
-      const std::vector<bool> reference = final_decisions(sequential, inst);
-      const ServiceStats ref_stats = sequential.aggregate();
+      ServiceConfig cfg;
+      cfg.shards = 5;
+      cfg.batch = 128;
       for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-        ServiceConfig cfg = sequential_cfg;
-        cfg.pump = PumpMode::kRings;
         cfg.threads = workers;
-        AdmissionService rings(inst.graph(), factory, cfg);
-        EXPECT_GE(rings.worker_count(), 1u);
-        EXPECT_LE(rings.worker_count(), workers);
-        const std::vector<bool> got = final_decisions(rings, inst);
-        ASSERT_EQ(got, reference) << scenario << " seed " << seed
-                                  << " workers " << workers;
-        const ServiceStats stats = rings.aggregate();
-        EXPECT_EQ(stats.arrivals, ref_stats.arrivals);
-        EXPECT_EQ(stats.accepted, ref_stats.accepted);
-        EXPECT_EQ(stats.rejected, ref_stats.rejected);
-        EXPECT_EQ(stats.augmentation_steps, ref_stats.augmentation_steps);
+        AdmissionService service(inst.graph(), factory, cfg);
+        EXPECT_GE(service.worker_count(), 1u);
+        EXPECT_LE(service.worker_count(), workers);
+        const test::ShardReplay reference =
+            test::replay_per_shard(service, factory, inst);
+        const std::vector<bool> got = final_decisions(service, inst);
+        ASSERT_EQ(got, reference.accepted()) << scenario << " seed " << seed
+                                             << " workers " << workers;
+        const ServiceStats stats = service.aggregate();
+        EXPECT_EQ(stats.arrivals, inst.request_count());
+        EXPECT_EQ(stats.rejected, reference.rejected());
+        EXPECT_EQ(stats.accepted, inst.request_count() - reference.rejected());
+        EXPECT_EQ(stats.augmentation_steps, reference.augmentation_steps());
       }
     }
   }
 }
 
 TEST_F(ConcurrentPump, SmallRingCapacityBackpressuresWithoutDeadlock) {
-  // A ring much smaller than the batch forces the routing thread through
-  // the full-ring spin path; decisions must be unaffected.
+  // One span larger than the ring (1024 slots at the default batch) into
+  // a single shard forces the routing thread through the full-ring spin
+  // path; decisions must be unaffected.
   ScenarioParams params;
-  params.requests = 800;
+  params.requests = 3000;
   params.edges = 16;
   const AdmissionInstance inst = make_scenario("dense_burst", params, rng);
   ServiceConfig cfg;
-  cfg.shards = 4;
-  cfg.batch = 512;
-  ServiceConfig tiny = cfg;
-  tiny.pump = PumpMode::kRings;
-  tiny.threads = 2;
-  tiny.ring_capacity = 8;
-  AdmissionService reference(inst.graph(), deterministic_unit_factory(), cfg);
-  AdmissionService rings(inst.graph(), deterministic_unit_factory(), tiny);
-  EXPECT_EQ(final_decisions(rings, inst), final_decisions(reference, inst));
+  cfg.shards = 1;
+  const ShardAlgorithmFactory factory = deterministic_unit_factory();
+  AdmissionService service(inst.graph(), factory, cfg);
+  const std::vector<bool> accepted =
+      service.submit_batch(std::span<const Request>(inst.requests()));
+  const test::ShardReplay reference =
+      test::replay_per_shard(service, factory, inst);
+  EXPECT_EQ(accepted.size(), inst.request_count());
+  std::vector<bool> final_state(inst.request_count());
+  for (std::size_t i = 0; i < inst.request_count(); ++i) {
+    final_state[i] = service.is_accepted(i);
+  }
+  EXPECT_EQ(final_state, reference.accepted());
 }
 
 TEST_F(ConcurrentPump, LatenciesAndPlacementsMatchSequential) {
@@ -458,7 +461,6 @@ TEST_F(ConcurrentPump, LatenciesAndPlacementsMatchSequential) {
   cfg.shards = 3;
   cfg.batch = 100;
   cfg.collect_latencies = true;
-  cfg.pump = PumpMode::kRings;
   cfg.threads = 4;
   AdmissionService service(inst.graph(), deterministic_unit_factory(), cfg);
   service.run(inst);
@@ -500,36 +502,42 @@ class FailsAtArrival : public OnlineAdmissionAlgorithm {
 };
 
 TEST_F(ConcurrentPump, ShardFailureVoidsPlacementsLikeSequential) {
-  // Shard 1 dies at its 10th arrival in both pump modes; the surviving
+  // Shard 1 dies at its 10th arrival at every worker count; the surviving
   // shards must keep their results, the dead shard's unprocessed arrivals
-  // must be voided, and the error must surface on the caller.
+  // must be voided exactly where the sequential replay stops, and the
+  // error must surface on the caller.
   ScenarioParams params;
   params.requests = 500;
   params.edges = 16;
   const AdmissionInstance inst = make_scenario("dense_burst", params, rng);
-  const auto factory = [](const Graph& graph, std::size_t shard) {
+  const ShardAlgorithmFactory factory = [](const Graph& graph,
+                                           std::size_t shard) {
     return std::make_unique<FailsAtArrival>(
         graph, shard == 1 ? 10 : std::numeric_limits<std::size_t>::max());
   };
-  for (const PumpMode pump : {PumpMode::kTasks, PumpMode::kRings}) {
+  for (const std::size_t workers : {1u, 4u}) {
     ServiceConfig cfg;
     cfg.shards = 4;
     cfg.batch = 500;
-    cfg.threads = 2;
-    cfg.pump = pump;
+    cfg.threads = workers;
     AdmissionService service(inst.graph(), factory, cfg);
     EXPECT_THROW(
         service.submit_batch(std::span<const Request>(inst.requests())),
         std::runtime_error);
+    const test::ShardReplay reference =
+        test::replay_per_shard(service, factory, inst);
+    const std::vector<bool> expected = reference.accepted();
+    ASSERT_EQ(service.arrivals(), inst.request_count());
     std::size_t voided = 0;
     for (std::size_t i = 0; i < service.arrivals(); ++i) {
       const auto [shard, local] = service.placement(i);
+      ASSERT_EQ(service.placement(i), reference.placement[i]) << i;
       if (local == kInvalidId) {
         ++voided;
         EXPECT_EQ(shard, 1u);
         EXPECT_THROW(service.is_accepted(i), InvalidArgument);
       } else {
-        service.is_accepted(i);  // must not throw
+        EXPECT_EQ(service.is_accepted(i), expected[i]) << i;
       }
     }
     EXPECT_GT(voided, 0u);
@@ -538,8 +546,64 @@ TEST_F(ConcurrentPump, ShardFailureVoidsPlacementsLikeSequential) {
   }
 }
 
+TEST_F(ConcurrentPump, UnroutableRequestRejectsTheWholeBatch) {
+  // Routing is all-or-nothing: a request with no edges or an out-of-range
+  // first edge rejects the batch before any placement is appended or any
+  // index reaches a worker, so nothing is half-recorded and the next
+  // batch cannot alias a never-processed arrival's (shard, local) id.
+  ScenarioParams params;
+  params.requests = 400;
+  params.edges = 16;
+  const AdmissionInstance inst = make_scenario("dense_burst", params, rng);
+  const std::span<const Request> all(inst.requests());
+  const ShardAlgorithmFactory factory = deterministic_unit_factory();
+  for (const std::size_t workers : {1u, 4u}) {
+    for (const std::vector<EdgeId>& bad_edges :
+         {std::vector<EdgeId>{}, std::vector<EdgeId>{999}}) {
+      ServiceConfig cfg;
+      cfg.shards = 4;
+      cfg.threads = workers;
+      AdmissionService service(inst.graph(), factory, cfg);
+      service.submit_batch(all.subspan(0, 100));
+      std::vector<ShardStats> before;
+      for (std::size_t s = 0; s < service.shard_count(); ++s) {
+        before.push_back(service.shard_stats(s));
+      }
+
+      std::vector<Request> poisoned(all.begin() + 100, all.begin() + 300);
+      poisoned[100].edges = bad_edges;
+      EXPECT_THROW(service.submit_batch(poisoned), InvalidArgument);
+      EXPECT_EQ(service.arrivals(), 100u);
+      EXPECT_EQ(service.aggregate().arrivals, 100u);
+      for (std::size_t s = 0; s < service.shard_count(); ++s) {
+        const ShardStats now = service.shard_stats(s);
+        EXPECT_EQ(now.arrivals, before[s].arrivals) << s;
+        EXPECT_EQ(now.accepted, before[s].accepted) << s;
+        EXPECT_EQ(now.rejected, before[s].rejected) << s;
+        EXPECT_EQ(service.shard_algorithm(s).arrivals(), before[s].arrivals)
+            << s;
+      }
+
+      // The next batch lands exactly where a clean run would: placements
+      // are unique (no aliasing) and match the sequential replay.
+      service.submit_batch(all.subspan(100, 300));
+      ASSERT_EQ(service.arrivals(), 400u);
+      EXPECT_EQ(service.aggregate().arrivals, 400u);
+      const test::ShardReplay reference =
+          test::replay_per_shard(service, factory, inst);
+      const std::vector<bool> expected = reference.accepted();
+      std::set<std::pair<std::size_t, RequestId>> seen;
+      for (std::size_t i = 0; i < service.arrivals(); ++i) {
+        EXPECT_TRUE(seen.insert(service.placement(i)).second) << i;
+        EXPECT_EQ(service.placement(i), reference.placement[i]) << i;
+        EXPECT_EQ(service.is_accepted(i), expected[i]) << i;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
-// LCA cross-shard reconcile lane (ServiceConfig::lca_reconcile) — §11.4
+// LCA cross-shard reconcile lane (ServiceConfig::lca_reconcile) — §11.5
 // ---------------------------------------------------------------------------
 
 class LcaReconcile : public test::SeededTest {};
@@ -554,51 +618,40 @@ AdmissionInstance make_cross_shard_instance(Rng& rng) {
 TEST_F(LcaReconcile, ReconciledDecisionsEqualSequentialEngine) {
   // The differential pin: the reconcile lane's decisions must equal a
   // bare sequential engine (same factory, lane index K) fed exactly the
-  // diverted subsequence in arrival order — for every pump mode and
-  // worker count.
+  // diverted subsequence in arrival order, and every shard's must equal
+  // its own sequential replay — for every worker count.  Final states
+  // are compared: is_accepted reflects later preemptions, so the
+  // comparison is only meaningful after the whole run on both sides.
   const AdmissionInstance inst = make_cross_shard_instance(rng);
   const ShardAlgorithmFactory factory = deterministic_unit_factory();
-  for (const PumpMode pump : {PumpMode::kTasks, PumpMode::kRings}) {
-    for (const std::size_t workers : {1u, 4u}) {
-      ServiceConfig cfg;
-      cfg.shards = 4;
-      cfg.batch = 128;
-      cfg.threads = workers;
-      cfg.pump = pump;
-      cfg.lca_reconcile = true;
-      AdmissionService service(inst.graph(), factory, cfg);
-      service.run(inst);
-      ASSERT_EQ(service.arrivals(), inst.request_count());
-
-      // Replay the diverted subsequence through the reference engine
-      // first, then compare *final* states: is_accepted reflects later
-      // preemptions, so the comparison is only meaningful after the whole
-      // subsequence has been processed on both sides.
-      const std::unique_ptr<OnlineAdmissionAlgorithm> reference =
-          factory(inst.graph(), cfg.shards);
-      std::vector<std::size_t> diverted_arrivals;
-      for (std::size_t i = 0; i < service.arrivals(); ++i) {
-        const auto [shard, local] = service.placement(i);
-        if (shard != AdmissionService::kLcaLane) continue;
-        EXPECT_EQ(local, static_cast<RequestId>(diverted_arrivals.size()));
-        reference->process(inst.requests()[i]);
-        diverted_arrivals.push_back(i);
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    ServiceConfig cfg;
+    cfg.shards = 4;
+    cfg.batch = 128;
+    cfg.threads = workers;
+    cfg.lca_reconcile = true;
+    AdmissionService service(inst.graph(), factory, cfg);
+    service.run(inst);
+    ASSERT_EQ(service.arrivals(), inst.request_count());
+    const test::ShardReplay reference =
+        test::replay_per_shard(service, factory, inst, /*lca_lane=*/true);
+    const std::vector<bool> expected = reference.accepted();
+    std::size_t diverted = 0;
+    for (std::size_t i = 0; i < service.arrivals(); ++i) {
+      ASSERT_EQ(service.placement(i), reference.placement[i]) << i;
+      EXPECT_EQ(service.is_accepted(i), expected[i]) << "arrival " << i;
+      if (service.placement(i).first == AdmissionService::kLcaLane) {
+        ++diverted;
       }
-      const std::size_t diverted = diverted_arrivals.size();
-      for (std::size_t d = 0; d < diverted; ++d) {
-        EXPECT_EQ(service.is_accepted(diverted_arrivals[d]),
-                  reference->is_accepted(static_cast<RequestId>(d)))
-            << "arrival " << diverted_arrivals[d];
-      }
-      EXPECT_EQ(service.lca_algorithm().rejected_count(),
-                reference->rejected_count());
-      ASSERT_GT(diverted, 0u) << "instance never crossed shards";
-      EXPECT_EQ(service.lca_arrivals(), diverted);
-      EXPECT_LE(service.lca_speculation_hits(), diverted);
-      const ServiceStats stats = service.aggregate();
-      EXPECT_EQ(stats.lca_arrivals, diverted);
-      EXPECT_EQ(stats.arrivals, inst.request_count());
     }
+    EXPECT_EQ(service.lca_algorithm().rejected_count(),
+              reference.algorithms.back()->rejected_count());
+    ASSERT_GT(diverted, 0u) << "instance never crossed shards";
+    EXPECT_EQ(service.lca_arrivals(), diverted);
+    EXPECT_LE(service.lca_speculation_hits(), diverted);
+    const ServiceStats stats = service.aggregate();
+    EXPECT_EQ(stats.lca_arrivals, diverted);
+    EXPECT_EQ(stats.arrivals, inst.request_count());
   }
 }
 
@@ -611,7 +664,6 @@ TEST_F(LcaReconcile, DecisionsInvariantAcrossWorkerCounts) {
     cfg.shards = 4;
     cfg.batch = 96;
     cfg.threads = workers;
-    cfg.pump = PumpMode::kRings;
     cfg.lca_reconcile = true;
     AdmissionService service(inst.graph(), deterministic_unit_factory(),
                              cfg);

@@ -8,16 +8,24 @@
 //   * small instance builders wrapping graph/generators, sim/workloads and
 //     setcover/generators with suite-sized defaults;
 //   * deep-equality helpers for instances (used by the io round-trip and
-//     determinism tests).
+//     determinism tests);
+//   * replay_per_shard — the sequential per-shard reference every
+//     AdmissionService decision stream is pinned to.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/request.h"
+#include "service/admission_service.h"
 #include "setcover/generators.h"
 #include "setcover/instance.h"
 #include "setcover/set_system.h"
@@ -121,6 +129,82 @@ inline void expect_same_instance(const CoverInstance& a,
         << "set " << s;
   }
   EXPECT_EQ(a.arrivals(), b.arrivals());
+}
+
+// ---------------------------------------------------------------------------
+// Sequential reference for the sharded service
+// ---------------------------------------------------------------------------
+
+/// The trajectory AdmissionService must reproduce for every worker count:
+/// each request routed with the service's shard_of_request, one fresh
+/// factory algorithm per shard, process() called in arrival order.
+struct ShardReplay {
+  /// One algorithm per shard, then the LCA lane (factory index K) if any.
+  std::vector<std::unique_ptr<OnlineAdmissionAlgorithm>> algorithms;
+  /// Per arrival, as AdmissionService::placement reports it: the local id
+  /// is kInvalidId once the owning shard has thrown.
+  std::vector<std::pair<std::size_t, RequestId>> placement;
+
+  /// Final acceptance state of every arrival (false for voided ones).
+  std::vector<bool> accepted() const {
+    std::vector<bool> out;
+    out.reserve(placement.size());
+    for (const auto& [shard, local] : placement) {
+      const std::size_t a =
+          shard == AdmissionService::kLcaLane ? algorithms.size() - 1 : shard;
+      out.push_back(local != kInvalidId &&
+                    algorithms[a]->is_accepted(local));
+    }
+    return out;
+  }
+  std::size_t rejected() const {
+    std::size_t total = 0;
+    for (const auto& a : algorithms) total += a->rejected_count();
+    return total;
+  }
+  std::uint64_t augmentation_steps() const {
+    std::uint64_t total = 0;
+    for (const auto& a : algorithms) total += a->augmentation_steps();
+    return total;
+  }
+};
+
+/// Replays `instance` the way `service` would route it.  A shard whose
+/// process() throws stops there, like a failed shard without fault
+/// tolerance.  With `lca_lane`, requests whose edges span shards go to an
+/// extra algorithm instead (ServiceConfig::lca_reconcile).
+inline ShardReplay replay_per_shard(const AdmissionService& service,
+                                    const ShardAlgorithmFactory& factory,
+                                    const AdmissionInstance& instance,
+                                    bool lca_lane = false) {
+  const std::size_t shards = service.shard_count();
+  ShardReplay replay;
+  for (std::size_t s = 0; s < shards + (lca_lane ? 1 : 0); ++s) {
+    replay.algorithms.push_back(factory(instance.graph(), s));
+  }
+  std::vector<bool> failed(replay.algorithms.size(), false);
+  for (const Request& request : instance.requests()) {
+    const std::size_t owner = service.shard_of_request(request);
+    std::size_t s = owner;
+    if (lca_lane) {
+      for (const EdgeId e : request.edges) {
+        if (service.shard_of_edge(e) != owner) s = shards;
+      }
+    }
+    RequestId local = kInvalidId;
+    if (!failed[s]) {
+      const auto id = static_cast<RequestId>(replay.algorithms[s]->arrivals());
+      try {
+        replay.algorithms[s]->process(request);
+        local = id;
+      } catch (const std::exception&) {
+        failed[s] = true;
+      }
+    }
+    replay.placement.emplace_back(
+        s == shards ? AdmissionService::kLcaLane : s, local);
+  }
+  return replay;
 }
 
 }  // namespace test
