@@ -1,6 +1,7 @@
 // Tests for src/sim: workload builders and the runner utilities.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -497,6 +498,124 @@ TEST(ScenarioCatalog, GenerationIsSeedStable) {
     test::expect_same_instance(make_scenario(info.name, params, a),
                                make_scenario(info.name, params, b));
   }
+}
+
+/// Order-sensitive 64-bit fingerprint of everything an algorithm reads
+/// from an instance: vertex count, edge endpoints and capacities, and per
+/// request its edge list, cost bit pattern and must-accept flag.
+std::uint64_t instance_hash(const AdmissionInstance& inst) {
+  std::uint64_t state = 0x696E7374616E6365ULL;  // "instance"
+  const auto mix = [&state](std::uint64_t word) {
+    state ^= word;
+    splitmix64(state);
+  };
+  mix(inst.graph().vertex_count());
+  for (const Edge& e : inst.graph().edges()) {
+    mix(e.from);
+    mix(e.to);
+    mix(static_cast<std::uint64_t>(e.capacity));
+  }
+  for (const Request& r : inst.requests()) {
+    mix(r.edges.size());
+    for (const EdgeId e : r.edges) mix(e);
+    mix(std::bit_cast<std::uint64_t>(r.cost));
+    mix(r.must_accept ? 1 : 0);
+  }
+  return splitmix64(state);
+}
+
+std::uint64_t system_hash(const SetSystem& sys) {
+  std::uint64_t state = 0x73797374656D6673ULL;  // "systemfs"
+  const auto mix = [&state](std::uint64_t word) {
+    state ^= word;
+    splitmix64(state);
+  };
+  mix(sys.element_count());
+  for (SetId s = 0; s < sys.set_count(); ++s) {
+    const auto members = sys.elements_of(s);
+    mix(members.size());
+    for (const ElementId j : members) mix(j);
+    mix(std::bit_cast<std::uint64_t>(sys.cost(s)));
+  }
+  return splitmix64(state);
+}
+
+// Pinned instance fingerprints: workload generation may be rewritten for
+// speed or memory, but every generator must keep consuming the same random
+// draws in the same order, so each catalog scenario (and each set-system
+// generator behind them) stays bit-identical at a fixed seed and size.
+// A changed value here means every recorded result on that scenario moved.
+TEST(ScenarioCatalog, InstancesMatchPinnedHashes) {
+  struct Pin {
+    const char* scenario;
+    std::size_t requests;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"dense_burst", 600, 1, 0x447c318f3bf814bcULL},
+      {"dense_burst", 6000, 2, 0x7aef495bc010c8eULL},
+      {"power_law", 600, 1, 0x5e27c1abc10c7ffULL},
+      {"power_law", 6000, 2, 0x1613f1a144bbc698ULL},
+      {"diurnal", 600, 1, 0x950ba3dc2c036db7ULL},
+      {"diurnal", 6000, 2, 0x1169c2c03cede75dULL},
+      {"flash_crowd", 600, 1, 0x8671993fd604f205ULL},
+      {"flash_crowd", 6000, 2, 0xfbd7b16d1642aa06ULL},
+      {"cascading_failure", 600, 1, 0xa00018c588aeecf9ULL},
+      {"cascading_failure", 6000, 2, 0xa992e162a198f5bdULL},
+      {"adversarial_single_edge", 600, 1, 0x1c93003364aad2cfULL},
+      {"adversarial_single_edge", 6000, 2, 0xbb6051cf1a5454b0ULL},
+      {"adversarial_lower_bound", 600, 1, 0xaf12ff83b40543f9ULL},
+      {"adversarial_lower_bound", 6000, 2, 0x5de7973845aa4bbeULL},
+      {"multi_tenant", 600, 1, 0xa0d46df1835a1d2aULL},
+      {"multi_tenant", 6000, 2, 0x99a1042f6550efe8ULL},
+      {"setcover_powerlaw", 600, 1, 0x98d7806d2643e098ULL},
+      {"setcover_powerlaw", 6000, 2, 0xcf8177f964afb188ULL},
+      {"setcover_reduction_replay", 600, 1, 0x2c89d9922efbf104ULL},
+      {"setcover_reduction_replay", 6000, 2, 0xde27d1a372561210ULL},
+      {"shared_sets_overlap", 600, 1, 0x79ca4a25f0e52c4bULL},
+      {"shared_sets_overlap", 6000, 2, 0x1dc870cd1778d750ULL},
+  };
+  for (const Pin& pin : pins) {
+    ScenarioParams params;
+    params.requests = pin.requests;
+    params.edges = 32;
+    Rng rng(pin.seed);
+    const std::uint64_t hash =
+        instance_hash(make_scenario(pin.scenario, params, rng));
+    EXPECT_EQ(hash, pin.hash)
+        << pin.scenario << " requests=" << pin.requests << " seed="
+        << pin.seed << " hash=0x" << std::hex << hash;
+  }
+  for (const ScenarioInfo& info : scenario_catalog()) {
+    EXPECT_TRUE(std::any_of(std::begin(pins), std::end(pins),
+                            [&info](const Pin& pin) {
+                              return std::string(info.name) == pin.scenario;
+                            }))
+        << info.name << " has no pinned hash";
+  }
+}
+
+TEST(SetSystemGenerators, SystemsMatchPinnedHashes) {
+  // Sizes where patch_min_degree has deficient elements to patch and
+  // sample_indices draws both tiny and near-full samples.
+  Rng uniform_rng(3), density_rng(4), power_rng(5), planted_rng(6);
+  const std::uint64_t hashes[] = {
+      system_hash(random_uniform_system(300, 300, 8, 4, uniform_rng)),
+      system_hash(random_density_system(200, 150, 0.02, 3, density_rng)),
+      system_hash(power_law_system(500, 500, 1.3, 2, power_rng)),
+      system_hash(planted_cover_system(64, 40, 4, 2, 6, planted_rng)),
+  };
+  const std::uint64_t pinned[] = {0x5615172bdaa4da6bULL, 0x1115ac5690d528bfULL,
+                                  0x599142e3772821b3ULL, 0x392062f627f8eb8ULL};
+  for (std::size_t i = 0; i < std::size(pinned); ++i) {
+    EXPECT_EQ(hashes[i], pinned[i])
+        << "generator " << i << " hash=0x" << std::hex << hashes[i];
+  }
+  Rng star_rng(7);
+  const std::uint64_t star = instance_hash(make_star_workload(
+      40, 3, 500, 12, CostModel::spread(1.0, 8.0), star_rng));
+  EXPECT_EQ(star, 0x161f8f6ff2684e8cULL) << "star hash=0x" << std::hex << star;
 }
 
 // ---------------------------------------------------------------------------
