@@ -1,9 +1,9 @@
 // E16 — multi-core shard-pump scaling (DESIGN.md §11, docs/SCENARIOS.md).
 //
-// E14 measures how well traffic *partitions* (critical-path throughput,
-// one hypothetical core per shard); E16 measures what the service's
-// ring-worker pump actually *sustains in wall-clock time* on this
-// machine.  For every catalog scenario the same instance is pumped at
+// Critical-path throughput (arrivals / max shard busy, one hypothetical
+// core per shard) says how well traffic *partitions*; E16 measures what
+// the service's ring-worker pump actually *sustains in wall-clock time*
+// on this machine.  For every catalog scenario the same instance is pumped at
 // 1, 2, 4, ... persistent workers over a fixed shard count, and the JSON
 // records wall throughput, speedup over the 1-worker run, and scaling
 // efficiency (speedup / workers).  The schema-driven gates are the

@@ -59,11 +59,11 @@
 // compile time through CoveringSubstrateTraits (substrate_traits.h):
 // construct it from a Graph (admission control) or from a CoveringInstance
 // (set cover, where capacity = element degree per the §4 reduction) and
-// the hot loop indexes the same flat span either way.  The retained
-// reference implementation lives in naive_engine.h; the FractionalEngine
-// alias at the bottom of this header selects between them at compile time
-// (-DMINREJ_NAIVE_ENGINE=ON), and the differential test suite holds the
-// two to identical outputs.
+// the hot loop indexes the same flat span either way.  It is the only
+// engine the library ships (the FractionalEngine alias at the bottom of
+// this header); the pre-rewrite reference implementation survives as the
+// test suites' differential oracle (tests/naive_engine.h), and
+// engine_differential_test holds the two to identical outputs.
 #pragma once
 
 #include <cstdint>
@@ -194,9 +194,7 @@ class FlatFractionalEngine {
   simd::SweepIsa sweep_kernel() const noexcept { return kernel_; }
 
   /// Serializes the complete engine state into `w` (DESIGN.md §9).  Legal
-  /// only between arrivals (the per-arrival scratch must be empty); the
-  /// stream is tagged with the engine kind, so a flat snapshot refuses to
-  /// load into a naive-engine build and vice versa.
+  /// only between arrivals (the per-arrival scratch must be empty).
   void save_state(SnapshotWriter& w) const;
 
   /// Restores a save_state stream into this engine, which must be freshly
@@ -372,17 +370,7 @@ class FlatFractionalEngine {
   std::function<void(EdgeId)> observer_;
 };
 
-}  // namespace minrej
-
-#if defined(MINREJ_NAIVE_ENGINE)
-#include "core/naive_engine.h"
-namespace minrej {
-/// Engine every consumer layer builds against (reference build).
-using FractionalEngine = NaiveFractionalEngine;
-}  // namespace minrej
-#else
-namespace minrej {
-/// Engine every consumer layer builds against (flat-storage build).
+/// Engine every consumer layer builds against.
 using FractionalEngine = FlatFractionalEngine;
+
 }  // namespace minrej
-#endif

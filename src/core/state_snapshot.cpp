@@ -7,18 +7,14 @@
 // lists, incremental caches, journal), and every random stream.  Doubles
 // move as IEEE-754 bit patterns, so a restored instance continues the
 // exact trajectory of the uninterrupted run — the recovery_test suite pins
-// this bit-identity per catalog scenario.
-//
-// One deliberate non-goal: cross-engine restore.  Streams are tagged with
-// the engine kind ("flat"/"naive"); a snapshot taken by one build refuses
-// to load into the other with a clear error, because the two engines'
-// incidental state (caches, journals) differs even though decisions match.
+// this bit-identity per catalog scenario.  The engine section is the flat
+// engine's layout; the algorithm stream version (service/admission_service)
+// changes whenever that layout does.
 #include <string>
 
 #include "core/baselines.h"
 #include "core/fractional_admission.h"
 #include "core/fractional_engine.h"
-#include "core/naive_engine.h"
 #include "core/online_admission.h"
 #include "core/randomized_admission.h"
 #include "core/throughput_admission.h"
@@ -49,7 +45,6 @@ void FlatFractionalEngine::save_state(SnapshotWriter& w) const {
   MINREJ_REQUIRE(!mid_arrival_dirty_,
                  "engine snapshot is only legal between arrivals");
   w.tag("FENG");
-  w.str("flat");
   w.f64(zero_init_);
   w.u64(small_threshold_);
   w.u64(hot_.size());
@@ -87,13 +82,6 @@ void FlatFractionalEngine::load_state(SnapshotReader& r) {
   MINREJ_REQUIRE(hot_.empty(),
                  "engine load_state needs a freshly constructed engine");
   r.expect_tag("FENG");
-  const std::string engine_kind = r.str();
-  if (engine_kind != "flat") {
-    throw InvalidArgument(
-        "snapshot was produced by the '" + engine_kind +
-        "' engine but this build's FractionalEngine is the flat engine — "
-        "cross-engine restore is unsupported (docs/API.md)");
-  }
   zero_init_ = r.f64();
   MINREJ_REQUIRE(zero_init_ > 0.0 && zero_init_ <= 1.0,
                  "snapshot zero_init out of range");
@@ -152,83 +140,6 @@ void FlatFractionalEngine::load_state(SnapshotReader& r) {
   deaths_.clear();
   deltas_.clear();
   mid_arrival_dirty_ = false;
-}
-
-// ---------------------------------------------------------------------------
-// NaiveFractionalEngine
-// ---------------------------------------------------------------------------
-
-void NaiveFractionalEngine::save_state(SnapshotWriter& w) const {
-  w.tag("FENG");
-  w.str("naive");
-  w.f64(zero_init_);
-  w.u64(requests_.size());
-  for (const RequestRecord& rec : requests_) {
-    w.vec(rec.edges);
-    w.f64(rec.weight);
-    w.f64(rec.update_cost);
-    w.f64(rec.inv_update_cost);
-    w.f64(rec.report_cost);
-    w.boolean(rec.pinned);
-    w.boolean(rec.alive);
-    w.u64(rec.touch_epoch);
-    w.f64(rec.weight_at_touch);
-  }
-  w.u64(members_.size());
-  for (const std::vector<RequestId>& list : members_) w.vec(list);
-  w.vec(alive_count_);
-  w.vec(pinned_count_);
-  w.f64(fractional_cost_);
-  w.u64(augmentations_);
-  w.u64(compactions_);
-  w.u64(epoch_);
-}
-
-void NaiveFractionalEngine::load_state(SnapshotReader& r) {
-  MINREJ_REQUIRE(requests_.empty(),
-                 "engine load_state needs a freshly constructed engine");
-  r.expect_tag("FENG");
-  const std::string engine_kind = r.str();
-  if (engine_kind != "naive") {
-    throw InvalidArgument(
-        "snapshot was produced by the '" + engine_kind +
-        "' engine but this build's FractionalEngine is the naive engine — "
-        "cross-engine restore is unsupported (docs/API.md)");
-  }
-  zero_init_ = r.f64();
-  MINREJ_REQUIRE(zero_init_ > 0.0 && zero_init_ <= 1.0,
-                 "snapshot zero_init out of range");
-  const std::uint64_t n = r.u64();
-  requests_.clear();
-  requests_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    RequestRecord rec;
-    rec.edges = r.vec<EdgeId>();
-    rec.weight = r.f64();
-    rec.update_cost = r.f64();
-    rec.inv_update_cost = r.f64();
-    rec.report_cost = r.f64();
-    rec.pinned = r.boolean();
-    rec.alive = r.boolean();
-    rec.touch_epoch = r.u64();
-    rec.weight_at_touch = r.f64();
-    requests_.push_back(std::move(rec));
-  }
-  const std::uint64_t edge_lists = r.u64();
-  MINREJ_REQUIRE(edge_lists == substrate_.col_count,
-                 "engine snapshot column count does not match the substrate");
-  for (std::vector<RequestId>& list : members_) list = r.vec<RequestId>();
-  alive_count_ = r.vec<std::int64_t>();
-  pinned_count_ = r.vec<std::int64_t>();
-  fractional_cost_ = r.f64();
-  augmentations_ = r.u64();
-  compactions_ = r.u64();
-  epoch_ = r.u64();
-  MINREJ_REQUIRE(alive_count_.size() == substrate_.col_count &&
-                     pinned_count_.size() == substrate_.col_count,
-                 "engine snapshot per-edge arrays are inconsistent");
-  touched_.clear();
-  deltas_.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -46,7 +46,9 @@ std::size_t pump_workers(const ServiceConfig& config) {
 constexpr std::string_view kServiceSnapshotKind = "minrej.service";
 constexpr std::string_view kAlgorithmSnapshotKind = "minrej.algorithm";
 constexpr std::uint32_t kServiceSnapshotVersion = 1;
-constexpr std::uint32_t kAlgorithmSnapshotVersion = 1;
+/// Version 2: the engine section no longer carries an engine-kind string
+/// (the library ships one engine).
+constexpr std::uint32_t kAlgorithmSnapshotVersion = 2;
 
 /// Order-sensitive fingerprint of the capacity vector: snapshots refuse to
 /// load onto a graph with the same edge count but different capacities.
@@ -819,6 +821,8 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
       std::unique_ptr<OnlineAdmissionAlgorithm> fresh = factory_(graph_, s);
       MINREJ_CHECK(fresh != nullptr, "factory returned a null algorithm");
       SnapshotReader algo(algo_blobs[s], kAlgorithmSnapshotKind);
+      MINREJ_REQUIRE(algo.version() == kAlgorithmSnapshotVersion,
+                     "unsupported algorithm snapshot version");
       fresh->load_snapshot(algo);
       algo.expect_end();
       records[s].algorithm = std::move(fresh);

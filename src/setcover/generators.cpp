@@ -9,29 +9,27 @@ namespace minrej {
 namespace {
 
 /// Adds element j to random sets it is not yet a member of until its degree
-/// reaches min_degree.  Mutates the membership lists in place.
+/// reaches min_degree.  Mutates the membership lists in place.  Membership
+/// is checked against the probed set's own list, so the pass costs
+/// O(input + probes · set size) with no m × n side table; the generators
+/// never emit a duplicate member, so every listed element counts once.
 void patch_min_degree(std::size_t n, std::size_t min_degree,
                       std::vector<std::vector<ElementId>>& sets, Rng& rng) {
   if (min_degree == 0) return;
   MINREJ_REQUIRE(min_degree <= sets.size(),
                  "min_degree exceeds number of sets");
   std::vector<std::size_t> degree(n, 0);
-  std::vector<std::vector<bool>> member(sets.size(),
-                                        std::vector<bool>(n, false));
-  for (std::size_t s = 0; s < sets.size(); ++s) {
-    for (ElementId j : sets[s]) {
-      if (!member[s][j]) {
-        member[s][j] = true;
-        ++degree[j];
-      }
-    }
+  for (const std::vector<ElementId>& members : sets) {
+    for (ElementId j : members) ++degree[j];
   }
   for (std::size_t j = 0; j < n; ++j) {
+    const auto elem = static_cast<ElementId>(j);
     while (degree[j] < min_degree) {
-      const std::size_t s = rng.index(sets.size());
-      if (member[s][j]) continue;
-      member[s][j] = true;
-      sets[s].push_back(static_cast<ElementId>(j));
+      std::vector<ElementId>& members = sets[rng.index(sets.size())];
+      if (std::find(members.begin(), members.end(), elem) != members.end()) {
+        continue;
+      }
+      members.push_back(elem);
       ++degree[j];
     }
   }

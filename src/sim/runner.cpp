@@ -7,7 +7,7 @@
 
 #include "util/check.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 #include "util/timer.h"
 
 namespace minrej {

@@ -4,7 +4,7 @@
 // Everything a bench binary needs: feed an instance through an algorithm
 // (the base classes enforce the online contracts at every step), compute
 // competitive ratios against a chosen ground truth, and fan Monte-Carlo
-// trials out over the thread pool deterministically (trial i always runs
+// trials out over threads deterministically (trial i always runs
 // with seed base_seed + i regardless of scheduling).
 #pragma once
 

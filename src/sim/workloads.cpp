@@ -1,3 +1,13 @@
+// workloads.cpp — the workload builders and the named scenario catalog
+// (docs/SCENARIOS.md).
+//
+// No builder allocates more than the instance it returns: the set-system
+// generators underneath sample sparsely and patch degrees against each
+// set's own list, with no m × n side table (the density generator still
+// spends one Bernoulli draw per (set, element) pair — that is its
+// definition).  Every catalog scenario's instance at a
+// fixed seed and size is hash-pinned in tests/sim_test.cpp — a rewrite of
+// any generator must consume the same random draws in the same order.
 #include "sim/workloads.h"
 
 #include <algorithm>
@@ -557,8 +567,7 @@ AdmissionInstance make_scenario(const std::string& name,
     // demanded up to half its degree, round-robin.  Every reduction row is
     // wide (≈ n/4 incident edges) and every edge's member list is long and
     // heavily shared — the workload shape where per-arrival cross-edge
-    // fix-up work dominates the engine (DESIGN.md §7.5/§8; E15's overlap
-    // stack duel measures the same shape).  n is sized so phase 1 (n
+    // fix-up work dominates the engine (DESIGN.md §7.5/§8).  n is sized so phase 1 (n
     // requests) plus the half-degree demand mass (≈ n²/8 arrivals) meets
     // the request budget.  Unit set costs, same rationale as
     // setcover_powerlaw.

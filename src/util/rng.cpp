@@ -1,6 +1,7 @@
 #include "util/rng.h"
 
 #include <cmath>
+#include <unordered_map>
 
 namespace minrej {
 
@@ -39,15 +40,23 @@ double Rng::log_uniform(double lo, double hi) {
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
   MINREJ_REQUIRE(k <= n, "sample_indices: k must be <= n");
-  // Partial Fisher–Yates over an index vector: O(n) setup, O(k) swaps.
-  std::vector<std::size_t> pool(n);
-  for (std::size_t i = 0; i < n; ++i) pool[i] = i;
+  // Partial Fisher–Yates over the virtual pool [0, n): only the slots a
+  // swap displaced are stored, so the cost is O(k) in time and memory for
+  // any n.  Slot i is final once step i reads it (later steps draw from
+  // [i', n) with i' > i), so only the drawn slot j needs remembering.
+  std::vector<std::size_t> out(k);
+  std::unordered_map<std::size_t, std::size_t> displaced;
+  displaced.reserve(k);
+  const auto slot = [&displaced](std::size_t i) {
+    const auto it = displaced.find(i);
+    return it == displaced.end() ? i : it->second;
+  };
   for (std::size_t i = 0; i < k; ++i) {
-    std::size_t j = i + index(n - i);
-    std::swap(pool[i], pool[j]);
+    const std::size_t j = i + index(n - i);
+    out[i] = slot(j);
+    displaced[j] = slot(i);
   }
-  pool.resize(k);
-  return pool;
+  return out;
 }
 
 }  // namespace minrej

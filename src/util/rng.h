@@ -100,7 +100,8 @@ class Rng {
     }
   }
 
-  /// Sample k distinct indices from [0, n) (k <= n), in random order.
+  /// Sample k distinct indices from [0, n) (k <= n), in random order;
+  /// O(k) time and memory, independent of n.
   std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
 
   /// The raw 256-bit generator state, for snapshot/restore (io/snapshot.h):

@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "core/fractional_engine.h"
-#include "core/naive_engine.h"
 #include "core/simd_sweep.h"
 #include "graph/generators.h"
+#include "naive_engine.h"
 #include "sim/workloads.h"
 #include "test_util.h"
 #include "util/rng.h"

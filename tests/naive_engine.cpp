@@ -1,4 +1,4 @@
-#include "core/naive_engine.h"
+#include "naive_engine.h"
 
 #include <algorithm>
 #include <cmath>

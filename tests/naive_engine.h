@@ -1,6 +1,6 @@
 // naive_engine.h — the straightforward reference implementation of the §2
 // weight-augmentation engine, retained verbatim from before the flat-storage
-// rewrite (DESIGN.md §3.3).
+// rewrite (DESIGN.md §3.3) as the test suite's differential oracle.
 //
 // It stores one heap-allocated edge vector per request (AoS), rescans the
 // edge's member list on every augmentation-loop iteration (compact, sum,
@@ -25,9 +25,8 @@
 //     feed its incremental caches, whose drift is absorbed by the §3.2
 //     band check before any decision is taken.
 //
-// Builds of the whole library against this engine are compile-time
-// selectable: configure with -DMINREJ_NAIVE_ENGINE=ON and the
-// FractionalEngine alias (fractional_engine.h) points here instead.
+// It lives in the tests' support library (minrej_naive_engine), not in the
+// shipped library: nothing outside the test suites builds against it.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +40,6 @@
 #include "graph/types.h"
 
 namespace minrej {
-
-class SnapshotWriter;
-class SnapshotReader;
 
 /// Reference weight-augmentation engine (one instance per α-phase).
 class NaiveFractionalEngine {
@@ -116,13 +112,6 @@ class NaiveFractionalEngine {
   /// removes (the EngineCompaction tests in engine_differential_test.cpp
   /// pin down the difference).
   std::uint64_t compactions() const noexcept { return compactions_; }
-
-  /// Serializes the complete engine state (same contract as
-  /// FlatFractionalEngine::save_state; streams are engine-kind tagged).
-  void save_state(SnapshotWriter& w) const;
-
-  /// Restores a save_state stream into this freshly constructed engine.
-  void load_state(SnapshotReader& r);
 
   /// Test hook: invoked after every single augmentation step.
   void set_augmentation_observer(std::function<void(EdgeId)> observer) {

@@ -24,14 +24,21 @@ namespace {
 /// random rejection step disabled.  Every decision is then a function of
 /// the fractional weights alone, which evolve per-edge-locally, so on a
 /// shard-disjoint instance the sharded and unsharded trajectories must be
-/// bit-identical (the §6.1 partitioning invariant).
-ShardAlgorithmFactory deterministic_unit_factory() {
-  return [](const Graph& graph, std::size_t) {
+/// bit-identical (the §6.1 partitioning invariant).  The weighted form
+/// also fixes α, so the doubling schedule cannot couple disjoint edges.
+ShardAlgorithmFactory deterministic_factory(bool unit_costs) {
+  return [unit_costs](const Graph& graph, std::size_t) {
     RandomizedConfig cfg;
-    cfg.unit_costs = true;
+    cfg.unit_costs = unit_costs;
     cfg.step3_random = false;
+    cfg.seed = 7;
+    if (!unit_costs) cfg.fractional.fixed_alpha = 8.0;
     return std::make_unique<RandomizedAdmission>(graph, cfg);
   };
+}
+
+ShardAlgorithmFactory deterministic_unit_factory() {
+  return deterministic_factory(/*unit_costs=*/true);
 }
 
 ShardAlgorithmFactory greedy_factory() {
@@ -223,6 +230,29 @@ TEST_F(ShardIdentity, EngineBackedDeterministicOnDiurnal) {
   cfg.shards = 3;
   cfg.batch = 64;
   expect_identical_runs(inst, deterministic_unit_factory(), cfg);
+
+  // The catalog scenario at its default capacity, on four shards.
+  ScenarioParams params;
+  params.requests = 3000;
+  params.edges = 32;
+  const AdmissionInstance catalog = make_scenario("diurnal", params, rng);
+  cfg.shards = 4;
+  cfg.batch = 256;
+  expect_identical_runs(catalog, deterministic_unit_factory(), cfg);
+}
+
+TEST_F(ShardIdentity, EngineBackedWeightedOnAdversarialSingleEdge) {
+  // One edge: everything lands on one shard of two, and the escalating
+  // costs drive the weighted engine through maximal preemption churn.
+  ScenarioParams params;
+  params.requests = 3000;
+  const AdmissionInstance inst =
+      make_scenario("adversarial_single_edge", params, rng);
+  ASSERT_FALSE(all_unit_costs(inst));
+  ServiceConfig cfg;
+  cfg.shards = 2;
+  cfg.batch = 256;
+  expect_identical_runs(inst, deterministic_factory(false), cfg);
 }
 
 TEST_F(ShardIdentity, GreedyBaselineOnDenseBurst) {
@@ -250,6 +280,24 @@ TEST_F(ShardIdentity, PreemptCheapestOnTenantAlignedMultiTenant) {
     return (static_cast<std::size_t>(e) / block) % tenants;
   };
   expect_identical_runs(inst, preempt_cheapest_factory(), cfg);
+}
+
+TEST_F(ShardIdentity, EngineBackedWeightedOnTenantAlignedMultiTenant) {
+  // The catalog scenario: 8 tenants on blocks of edges / 8, weighted
+  // costs, folded onto 4 shards by tenant.
+  ScenarioParams params;
+  params.requests = 3000;
+  params.edges = 32;
+  const AdmissionInstance inst = make_scenario("multi_tenant", params, rng);
+  ASSERT_FALSE(all_unit_costs(inst));
+  const std::size_t block = params.edges / 8;
+  ServiceConfig cfg;
+  cfg.shards = 4;
+  cfg.batch = 256;
+  cfg.partition = [block](EdgeId e) {
+    return (static_cast<std::size_t>(e) / block) % 4;
+  };
+  expect_identical_runs(inst, deterministic_factory(false), cfg);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@
 #include "core/covering_instance.h"
 #include "core/fractional_engine.h"
 #include "core/fractional_setcover.h"
-#include "core/naive_engine.h"
 #include "core/online_admission.h"
 #include "core/online_setcover.h"
 #include "core/randomized_admission.h"
@@ -25,6 +24,7 @@
 #include "setcover/generators.h"
 #include "sim/runner.h"
 #include "sim/workloads.h"
+#include "naive_engine.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -230,27 +230,54 @@ TEST(ReductionView, RejectsZeroDegreeElements) {
 // Decision identity: view-backed vs materialized FractionalSetCover
 // ---------------------------------------------------------------------------
 
-/// Runs the same arrival sequence through both reduction bindings and
-/// asserts identical observable state after every arrival.  Exact
-/// equality on purpose: both paths drive the same engine arithmetic over
-/// the same capacities, so any divergence is a real reduction bug.
+/// The pre-§7 materialized binding of the §4 reduction, kept here as the
+/// view's oracle: the §2 wrapper bound to build_reduction's star graph, fed
+/// its copied phase-1 requests and one materialized must-accept request
+/// per element arrival.
+class MaterializedFractionalSetCover {
+ public:
+  explicit MaterializedFractionalSetCover(const SetSystem& sys)
+      : reduction_(build_reduction(sys)),
+        admission_(reduction_.graph, config_for(sys)) {
+    for (const Request& r : reduction_.phase1) admission_.on_request(r);
+  }
+
+  void on_element(ElementId j) {
+    admission_.on_request(reduction_.element_request(j));
+  }
+
+  const FractionalAdmission& admission() const noexcept { return admission_; }
+
+ private:
+  static FractionalConfig config_for(const SetSystem& sys) {
+    FractionalConfig config;
+    config.unit_costs = sys.unit_costs();
+    return config;
+  }
+
+  ReductionInstance reduction_;
+  FractionalAdmission admission_;
+};
+
+/// Runs the same arrival sequence through the view-backed
+/// FractionalSetCover and the materialized oracle, and asserts identical
+/// observable state after every arrival.  Exact equality on purpose: both
+/// paths drive the same engine arithmetic over the same capacities, so any
+/// divergence is a real reduction bug.
 void expect_view_matches_materialized(const SetSystem& sys,
                                       const std::vector<ElementId>& arrivals) {
-  FractionalSetCover via_view(sys, {}, ReductionMode::kView);
-  FractionalSetCover via_mat(sys, {}, ReductionMode::kMaterialized);
-  ASSERT_EQ(via_view.mode(), ReductionMode::kView);
-  ASSERT_EQ(via_mat.mode(), ReductionMode::kMaterialized);
+  FractionalSetCover via_view(sys);
+  MaterializedFractionalSetCover via_mat(sys);
   for (std::size_t t = 0; t < arrivals.size(); ++t) {
-    const ElementId j = arrivals[t];
-    via_view.on_element(j);
-    via_mat.on_element(j);
-    ASSERT_EQ(via_view.demand(j), via_mat.demand(j));
-    EXPECT_DOUBLE_EQ(via_view.fractional_cost(), via_mat.fractional_cost())
+    via_view.on_element(arrivals[t]);
+    via_mat.on_element(arrivals[t]);
+    const FractionalAdmission& mat = via_mat.admission();
+    EXPECT_DOUBLE_EQ(via_view.fractional_cost(), mat.fractional_cost())
         << "arrival " << t;
-    EXPECT_EQ(via_view.augmentations(), via_mat.augmentations())
+    EXPECT_EQ(via_view.augmentations(), mat.augmentations())
         << "arrival " << t;
     for (SetId s = 0; s < sys.set_count(); ++s) {
-      EXPECT_DOUBLE_EQ(via_view.fraction(s), via_mat.fraction(s))
+      EXPECT_DOUBLE_EQ(via_view.fraction(s), mat.weight(s))
           << "arrival " << t << " set " << s;
     }
     if (::testing::Test::HasFailure()) {

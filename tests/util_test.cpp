@@ -1,4 +1,4 @@
-// Tests for src/util: rng, stats, table, thread_pool, cli.
+// Tests for src/util: rng, stats, table, parallel_for, cli.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,11 +11,11 @@
 
 #include "util/check.h"
 #include "util/cli.h"
+#include "util/parallel_for.h"
 #include "util/rng.h"
 #include "util/spsc_ring.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace minrej {
 namespace {
@@ -296,18 +296,8 @@ TEST(Table, EmptyColumnsThrow) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool / parallel_for_index
+// parallel_for_index
 // ---------------------------------------------------------------------------
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
 
 TEST(ParallelFor, ComputesAllIndices) {
   std::vector<int> hits(1000, 0);
