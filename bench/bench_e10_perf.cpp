@@ -7,9 +7,8 @@
 //   (c) Monte-Carlo sweep scaling — the same independent trials through
 //       sim::parallel_trials at 1, 2, 4 and 8 threads.
 //
-// The former (a) part, a flat-vs-naive engine duel, is gone with the naive
-// engine's move into the test suite: engine_differential_test pins the two
-// engines' decisions, and the service-level numbers live in perfbench.
+// There is no part (a): the engine is checked against the naive oracle by
+// engine_differential_test, and the service is measured by perfbench.
 //
 // `--json[=path]` additionally writes machine-readable BENCH_e10.json
 // (CI smoke-runs this at small sizes so the perf trajectory accumulates).

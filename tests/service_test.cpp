@@ -37,10 +37,6 @@ ShardAlgorithmFactory deterministic_factory(bool unit_costs) {
   };
 }
 
-ShardAlgorithmFactory deterministic_unit_factory() {
-  return deterministic_factory(/*unit_costs=*/true);
-}
-
 ShardAlgorithmFactory greedy_factory() {
   return [](const Graph& graph, std::size_t) {
     return std::make_unique<GreedyNoPreempt>(graph);
@@ -220,7 +216,7 @@ TEST_F(ShardIdentity, EngineBackedDeterministicOnDenseBurst) {
   ServiceConfig cfg;
   cfg.shards = 4;
   cfg.batch = 128;
-  expect_identical_runs(inst, deterministic_unit_factory(), cfg);
+  expect_identical_runs(inst, deterministic_factory(true), cfg);
 }
 
 TEST_F(ShardIdentity, EngineBackedDeterministicOnDiurnal) {
@@ -229,7 +225,7 @@ TEST_F(ShardIdentity, EngineBackedDeterministicOnDiurnal) {
   ServiceConfig cfg;
   cfg.shards = 3;
   cfg.batch = 64;
-  expect_identical_runs(inst, deterministic_unit_factory(), cfg);
+  expect_identical_runs(inst, deterministic_factory(true), cfg);
 
   // The catalog scenario at its default capacity, on four shards.
   ScenarioParams params;
@@ -238,7 +234,7 @@ TEST_F(ShardIdentity, EngineBackedDeterministicOnDiurnal) {
   const AdmissionInstance catalog = make_scenario("diurnal", params, rng);
   cfg.shards = 4;
   cfg.batch = 256;
-  expect_identical_runs(catalog, deterministic_unit_factory(), cfg);
+  expect_identical_runs(catalog, deterministic_factory(true), cfg);
 }
 
 TEST_F(ShardIdentity, EngineBackedWeightedOnAdversarialSingleEdge) {
@@ -372,7 +368,7 @@ TEST_F(ServiceStatsTest, AggregateMatchesShardSums) {
   ServiceConfig cfg;
   cfg.shards = 4;
   cfg.collect_latencies = true;
-  AdmissionService service(inst.graph(), deterministic_unit_factory(), cfg);
+  AdmissionService service(inst.graph(), deterministic_factory(true), cfg);
   const ServiceStats total = service.run(inst);
 
   std::size_t arrivals = 0, accepted = 0, rejected = 0, latencies = 0;
@@ -486,7 +482,7 @@ TEST_F(ConcurrentPump, SmallRingCapacityBackpressuresWithoutDeadlock) {
   const AdmissionInstance inst = make_scenario("dense_burst", params, rng);
   ServiceConfig cfg;
   cfg.shards = 1;
-  const ShardAlgorithmFactory factory = deterministic_unit_factory();
+  const ShardAlgorithmFactory factory = deterministic_factory(true);
   AdmissionService service(inst.graph(), factory, cfg);
   const std::vector<bool> accepted =
       service.submit_batch(std::span<const Request>(inst.requests()));
@@ -510,7 +506,7 @@ TEST_F(ConcurrentPump, LatenciesAndPlacementsMatchSequential) {
   cfg.batch = 100;
   cfg.collect_latencies = true;
   cfg.threads = 4;
-  AdmissionService service(inst.graph(), deterministic_unit_factory(), cfg);
+  AdmissionService service(inst.graph(), deterministic_factory(true), cfg);
   service.run(inst);
   std::size_t latencies = 0;
   for (std::size_t s = 0; s < service.shard_count(); ++s) {
@@ -604,7 +600,7 @@ TEST_F(ConcurrentPump, UnroutableRequestRejectsTheWholeBatch) {
   params.edges = 16;
   const AdmissionInstance inst = make_scenario("dense_burst", params, rng);
   const std::span<const Request> all(inst.requests());
-  const ShardAlgorithmFactory factory = deterministic_unit_factory();
+  const ShardAlgorithmFactory factory = deterministic_factory(true);
   for (const std::size_t workers : {1u, 4u}) {
     for (const std::vector<EdgeId>& bad_edges :
          {std::vector<EdgeId>{}, std::vector<EdgeId>{999}}) {
@@ -671,7 +667,7 @@ TEST_F(LcaReconcile, ReconciledDecisionsEqualSequentialEngine) {
   // are compared: is_accepted reflects later preemptions, so the
   // comparison is only meaningful after the whole run on both sides.
   const AdmissionInstance inst = make_cross_shard_instance(rng);
-  const ShardAlgorithmFactory factory = deterministic_unit_factory();
+  const ShardAlgorithmFactory factory = deterministic_factory(true);
   for (const std::size_t workers : {1u, 2u, 4u}) {
     ServiceConfig cfg;
     cfg.shards = 4;
@@ -713,7 +709,7 @@ TEST_F(LcaReconcile, DecisionsInvariantAcrossWorkerCounts) {
     cfg.batch = 96;
     cfg.threads = workers;
     cfg.lca_reconcile = true;
-    AdmissionService service(inst.graph(), deterministic_unit_factory(),
+    AdmissionService service(inst.graph(), deterministic_factory(true),
                              cfg);
     outcomes.push_back(final_decisions(service, inst));
     hits.push_back(service.lca_speculation_hits());
@@ -732,15 +728,15 @@ TEST_F(LcaReconcile, RejectsIncompatibleConfigurations) {
   cfg.lca_reconcile = true;
   cfg.fault_tolerance.enabled = true;
   EXPECT_THROW(
-      AdmissionService(inst.graph(), deterministic_unit_factory(), cfg),
+      AdmissionService(inst.graph(), deterministic_factory(true), cfg),
       InvalidArgument);
   cfg.fault_tolerance.enabled = false;
-  AdmissionService service(inst.graph(), deterministic_unit_factory(), cfg);
+  AdmissionService service(inst.graph(), deterministic_factory(true), cfg);
   EXPECT_THROW(service.snapshot(), InvalidArgument);
   EXPECT_NO_THROW(service.lca_algorithm());  // the lane exists here
   // …but not on a service without the flag.
   cfg.lca_reconcile = false;
-  AdmissionService plain(inst.graph(), deterministic_unit_factory(), cfg);
+  AdmissionService plain(inst.graph(), deterministic_factory(true), cfg);
   EXPECT_THROW(plain.lca_algorithm(), InvalidArgument);
 }
 
